@@ -157,6 +157,10 @@ def write_csv(path: str | None, header: list, columns: list) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
         return
+    _write_text(path, text)
+
+
+def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="ascii", newline="") as handle:
             handle.write(text)
@@ -310,11 +314,7 @@ def _dump_oracle_states(path: str, trajectory) -> None:
             for j in range(state.shape[1]):
                 lines.append(",".join((_fmt(t), str(i), str(j),
                                        _fmt(state[i, j].real), _fmt(state[i, j].imag))))
-    try:
-        with open(path, "w", encoding="ascii", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise UsageError(f"cannot write {path!r}: {exc}") from None
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # --- figure reproduction -----------------------------------------------------

@@ -241,6 +241,16 @@ def test_damped_columns(tmp_path):
     assert np.all(np.diff(rows[:, 3]) < 0)  # loss keeps eroding purity here
 
 
+def test_damped_large_gamma_t_gives_vacuum_rows(tmp_path):
+    out = tmp_path / "d.csv"
+    code = main(["damped", "--input", "noon:2", "--J", "1", "--gamma", "200",
+                 "--tmax", "5", "--steps", "4", "-o", str(out)])
+    assert code == EXIT_OK
+    header, rows = read_csv(out)
+    # gamma t = 750 and 1000: E_N = S = 0, purity 1
+    assert np.array_equal(rows[3:, 1:], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+
+
 def test_all_figure_ids_run(tmp_path):
     for fig in ("1a", "2b", "2c", "3b", "4a", "4b", "5b", "6"):
         out = tmp_path / f"fig{fig}.csv"

@@ -133,6 +133,50 @@ def test_disentangle_boundary_identities():
     assert lossfree.gamma_3 == pytest.approx(cmath.exp(-2j * 0.8 * 1.7), abs=1e-12)
 
 
+def _loop_branch_kernel(dim, freq, gamma, t, g_plus, g3_root, g_minus):
+    # plain loop form of the single-mode kernel, kept as the reference for
+    # the vectorized damped._branch_kernel
+    kern = np.zeros((dim * dim, dim * dim), dtype=complex)
+    scale = cmath.exp(gamma * t)
+    for m in range(dim):
+        for mp in range(dim):
+            phase = scale * cmath.exp(-1j * freq * t * (m - mp))
+            row = m * dim + mp
+            for big in range(dim):
+                bigp = big - (m - mp)
+                if bigp < 0 or bigp >= dim:
+                    continue
+                acc = 0.0j
+                for q in range(max(0, big - m), min(big, bigp) + 1):
+                    p = m - big + q
+                    coeff = math.sqrt(math.comb(big, q) * math.comb(bigp, q)
+                                      * math.comb(m, p) * math.comb(mp, p))
+                    acc += (coeff * g_minus ** q
+                            * g3_root ** (big + bigp - 2 * q + 1) * g_plus ** p)
+                kern[row, big * dim + bigp] = phase * acc
+    return kern
+
+
+def test_branch_kernel_matches_loop_reference():
+    for dim in range(1, 12):
+        cases = [(gamma, t, loss_channel_factors(gamma, t))
+                 for gamma in (0.0, 0.05, 0.1) for t in (0.0, 0.7, 3.0, 25.0)]
+        cases.append((0.05, 1.0, (0.5, 1.0, 0.0)))  # heating factors
+        for gamma, t, factors in cases:
+            for freq in (-0.5, 1.3):
+                want = _loop_branch_kernel(dim, freq, gamma, t, *factors)
+                got = damped._branch_kernel(dim, freq, gamma, t, *factors)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_cached_mode_rotation_is_read_only():
+    u = mode_rotation(3)
+    with pytest.raises(ValueError):
+        u[0, 0] = 2.0
+    assert np.array_equal(mode_rotation(3), u)
+
+
 def test_mode_rotation_is_unitary_and_diagonalizes_coupling():
     cutoff = 3
     d = cutoff + 1
@@ -175,6 +219,19 @@ def test_vacuum_is_stationary_under_loss():
     rho = TwoModeDensityMatrix.from_pure(fock_state(0, 0, 2))
     out = evolve_damped_exact(rho, DampedParams(0.3, 1.0, 0.8), 2.0)
     assert np.max(np.abs(out.entries - rho.entries)) < 1e-13
+
+
+def test_large_gamma_t_reaches_vacuum_limit():
+    rho = TwoModeDensityMatrix.from_pure(noon_state(2, 2))
+    params = DampedParams(0.0, 1.0, 200.0)
+    vacuum = np.zeros_like(rho.entries)
+    vacuum[0, 0] = 1.0
+    out = evolve_damped_exact(rho, params, 5.0)  # gamma t = 1000
+    assert np.array_equal(out.entries, vacuum)
+    # just below the switch the kernel path already gives the vacuum
+    t_below = 0.999 * damped.VACUUM_LIMIT_GAMMA_T / params.gamma
+    below = evolve_damped_exact(rho, params, t_below)
+    assert np.max(np.abs(below.entries - vacuum)) < 1e-300
 
 
 def test_total_photon_number_decays_exponentially():
