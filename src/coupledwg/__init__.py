@@ -10,7 +10,8 @@ optical modes with balanced single-photon loss:
   (:mod:`coupledwg.thermal`);
 * an exact product-kernel propagator for the damped coupler plus closed-form
   spectra and a purity formula (:mod:`coupledwg.damped`);
-* covariance-matrix dynamics for Gaussian inputs (:mod:`coupledwg.gaussian`).
+* covariance-matrix curves for Gaussian inputs squeezed along the coupler's
+  normal modes (:mod:`coupledwg.gaussian`).
 
 A brute-force RK4 master-equation integrator (:mod:`coupledwg.lindblad`)
 validates all of the above, and :mod:`coupledwg.cli` emits canned
@@ -27,12 +28,10 @@ from .errors import (
     ValidationError,
 )
 from .fock import (
-    FockIndex,
     MeasureValue,
     StateSpec,
     TwoModeDensityMatrix,
     TwoModePureState,
-    basis_indices,
     entropy_bits,
     fock_state,
     log_negativity,
@@ -56,7 +55,6 @@ from .lossless import (
     noon_log_negativity,
     pt_spectrum_closed,
     su2_coefficients,
-    su2_rotation_param,
 )
 from .thermal import (
     ThermalOccupation,
@@ -83,15 +81,12 @@ from .gaussian import (
     is_physical,
     log_negativity_gaussian,
     simon_separable,
-    squeezing_parameters,
     symplectic_eigenvalues,
     thermal_evolved_covariance,
-    thermal_evolved_state,
     tmsv_covariance,
     two_mode_squeezed_state,
     vacuum_covariance,
     vacuum_evolved_covariance,
-    vacuum_evolved_state,
 )
 from .lindblad import (
     DeviationReport,
@@ -114,7 +109,6 @@ __all__ = [
     "DampedParams",
     "DeviationReport",
     "DisentangleParams",
-    "FockIndex",
     "GaussianState",
     "IntegrationError",
     "IntegratorConfig",
@@ -128,7 +122,6 @@ __all__ = [
     "TwoModeDensityMatrix",
     "TwoModePureState",
     "ValidationError",
-    "basis_indices",
     "bogoliubov_params",
     "compare",
     "damped_entropy",
@@ -161,15 +154,12 @@ __all__ = [
     "purity_closed",
     "reduced_state",
     "simon_separable",
-    "squeezing_parameters",
     "state_from_amplitudes",
     "su2_coefficients",
-    "su2_rotation_param",
     "symplectic_eigenvalues",
     "thermal_diagonal_family",
     "thermal_entropy",
     "thermal_evolved_covariance",
-    "thermal_evolved_state",
     "thermal_pt_spectrum",
     "thermal_weight",
     "tmsv_covariance",
@@ -177,6 +167,5 @@ __all__ = [
     "two_mode_squeezed_state",
     "vacuum_covariance",
     "vacuum_evolved_covariance",
-    "vacuum_evolved_state",
     "von_neumann_entropy",
 ]

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .damped import DampedParams, damped_entropy, evolve_damped_exact, purity_closed
+from .damped import (
+    _PURITY_VARIANTS,
+    DampedParams,
+    damped_entropy,
+    evolve_damped_exact,
+    purity_closed,
+)
 from .errors import CoupledwgError, ToleranceExceeded
 from .fock import (
     StateSpec,
@@ -31,7 +37,7 @@ from .fock import (
 from .gaussian import thermal_evolved_covariance, log_negativity_gaussian
 from .lindblad import IntegratorConfig, compare, default_dt, integrate
 from .lossless import CouplerParams, entropy_closed, evolve_lossless, noon_log_negativity
-from .thermal import ThermalOccupation, thermal_entropy
+from .thermal import _VARIANTS as _THERMAL_VARIANTS, ThermalOccupation, thermal_entropy
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,9 +86,7 @@ def parse_state_spec(text: str) -> StateSpec:
             f"malformed state spec {text!r}; grammar: {_GRAMMAR}") from None
 
 
-_VARIANTS = ("as-printed", "normalized", "rate-times-t")
-_THERMAL_VARIANTS = ("as-printed", "normalized")
-_PURITY_VARIANTS = ("as-printed", "rate-times-t")
+_VARIANTS = tuple(dict.fromkeys(_THERMAL_VARIANTS + _PURITY_VARIANTS))
 
 
 @dataclass(frozen=True)

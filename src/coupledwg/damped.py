@@ -29,7 +29,14 @@ import numpy as np
 
 from .errors import NumericalError, TruncationError, ValidationError
 from .fock import MeasureValue, TwoModeDensityMatrix, entropy_bits
-from .lossless import CouplerParams, _require_capacity_support, _sector_eigensystem
+from .lossless import (
+    CouplerParams,
+    _assemble_sectors,
+    _binomial_family,
+    _pt_spectrum,
+    _require_capacity_support,
+    _sector_eigensystem,
+)
 
 TRACE_DEFICIT_LIMIT = 1e-10
 # Past this gamma t every entry but the vacuum population carries a factor
@@ -104,17 +111,24 @@ def _su11_factorization(eta_plus: complex, eta_3: complex, eta_minus: complex):
     directly sidesteps any square-root branch choice.
     """
     phi = cmath.sqrt(eta_3 * eta_3 / 4.0 - eta_plus * eta_minus)
+    try:
+        sinh_phi, cosh_phi = cmath.sinh(phi), cmath.cosh(phi)
+    except OverflowError:
+        raise NumericalError(f"ordered-form factors overflow at phi = {phi:.6g}") from None
     if abs(phi) < 1e-6:
         p2 = phi * phi
         sinh_ratio = 1.0 + p2 / 6.0 + p2 * p2 / 120.0
     else:
-        sinh_ratio = cmath.sinh(phi) / phi
-    denom = 2.0 * cmath.cosh(phi) - eta_3 * sinh_ratio
+        sinh_ratio = sinh_phi / phi
+    denom = 2.0 * cosh_phi - eta_3 * sinh_ratio
     if denom == 0.0:
         raise NumericalError("ordered-form denominator vanished")
     g3_root = 2.0 / denom
-    return (eta_plus * sinh_ratio * g3_root, g3_root,
-            eta_minus * sinh_ratio * g3_root, phi)
+    coeffs = (eta_plus * sinh_ratio * g3_root, g3_root,
+              eta_minus * sinh_ratio * g3_root)
+    if not all(cmath.isfinite(c) for c in coeffs):
+        raise NumericalError(f"ordered-form coefficients are not finite at phi = {phi:.6g}")
+    return (*coeffs, phi)
 
 
 @dataclass(frozen=True)
@@ -176,12 +190,7 @@ def mode_rotation(cutoff: int) -> np.ndarray:
     n_b - n_a.  Corner sectors (total photon number above the cutoff) are left
     on the identity; capacity-supported states never reach them.  Built once
     per cutoff; the returned array is shared and read-only."""
-    d = cutoff + 1
-    out = np.eye(d * d, dtype=complex)
-    for total in range(cutoff + 1):
-        u = _sector_rotation(total)
-        idx = [na * d + (total - na) for na in range(total + 1)]
-        out[np.ix_(idx, idx)] = u
+    out = _assemble_sectors(cutoff, _sector_rotation)
     out.setflags(write=False)
     return out
 
@@ -303,35 +312,31 @@ def _theta(p: DampedParams, t: float) -> complex:
 
 
 def _damped_diagonal(total: int, p: DampedParams, t: float) -> np.ndarray:
-    th = _theta(p, t)
-    sh2 = abs(cmath.sinh(th)) ** 2
-    ch2 = abs(cmath.cosh(th)) ** 2
-    norm = (sh2 + ch2) ** total
-    return np.array([math.comb(total, n) * sh2 ** n * ch2 ** (total - n) / norm
-                     for n in range(total + 1)])
+    # The lossless family at the effective angle: sin^2 -> |sinh th|^2 / cosh 2x
+    # and cos^2 -> |cosh th|^2 / cosh 2x with th = x + iy, both written through
+    # tanh x so that no factor overflows at large gamma t.
+    x, y = math.sqrt(2.0) * p.gamma * t, p.J * t
+    th2 = math.tanh(x) ** 2
+    s2 = (th2 + math.sin(y) ** 2 * (1.0 - th2)) / (1.0 + th2)
+    c2 = (th2 + math.cos(y) ** 2 * (1.0 - th2)) / (1.0 + th2)
+    return _binomial_family(total, s2, c2)
 
 
 def damped_pt_spectrum(total: int, p: DampedParams, t: float) -> np.ndarray:
     """Closed-form partial-transpose spectrum (descending) for the damped
-    coupler driven by the |0, N> input, renormalized to unit trace.  At
-    gamma = 0 this coincides with the lossless spectrum as a multiset."""
-    th = _theta(p, t)
-    sh, ch = abs(cmath.sinh(th)), abs(cmath.cosh(th))
-    norm = (sh * sh + ch * ch) ** total
-    vals = list(_damped_diagonal(total, p, t))
-    for n in range(total + 1):
-        for m in range(n + 1, total + 1):
-            mag = (math.factorial(total)
-                   / math.sqrt(math.factorial(total - n) * math.factorial(total - m)
-                               * math.factorial(n) * math.factorial(m))
-                   * sh ** (n + m) * ch ** (2 * total - n - m)) / norm
-            vals.extend((mag, -mag))
-    return np.sort(np.asarray(vals))[::-1]
+    coupler driven by the |0, N> input, renormalized to unit trace: the
+    lossless spectrum at the effective angle atan(|sinh th| / |cosh th|),
+    th = (sqrt(2) gamma + i J) t.  At gamma = 0 this coincides with the
+    lossless spectrum as a multiset."""
+    weights = _damped_diagonal(total, p, t)
+    mags = np.sqrt(weights)
+    return _pt_spectrum(weights, np.outer(mags, mags))
 
 
 def damped_entropy(total: int, p: DampedParams, t: float) -> MeasureValue:
     """Entropy (bits) of the normalized diagonal family; reduces to the
-    lossless entropy at gamma = 0 and to 0 at t = 0."""
+    lossless entropy at gamma = 0, to 0 at t = 0, and to the entropy of
+    Binomial(N, 1/2) as gamma t grows."""
     return MeasureValue("entropy", entropy_bits(_damped_diagonal(total, p, t)))
 
 
@@ -356,6 +361,9 @@ def purity_closed(p: DampedParams, t: float, variant: str = "as-printed") -> Mea
         mix = complex(p.gamma, p.J * t)
     else:
         mix = complex(p.gamma, p.J) * t
-    expo = -4.0 * p.gamma * t * cmath.sinh(th) / (th * cmath.cosh(th) + mix * cmath.sinh(th))
+    # -4 gamma t sinh th / (th cosh th + mix sinh th), divided through by
+    # cosh th so that nothing overflows at large gamma t
+    tanh = cmath.tanh(th)
+    expo = -4.0 * p.gamma * t * tanh / (th + mix * tanh)
     val = cmath.exp(expo).real
     return MeasureValue("purity", min(max(val, 0.0), 1.0))

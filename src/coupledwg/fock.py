@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -23,13 +23,6 @@ TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9  # eigenvalues above this are treated as rounding noise
 
 _MEASURE_KINDS = ("entropy", "log_negativity", "negativity", "purity")
-
-
-class FockIndex(NamedTuple):
-    """Occupation pair (n_a, n_b) labelling one basis vector."""
-
-    n_a: int
-    n_b: int
 
 
 @dataclass(frozen=True)
@@ -76,12 +69,6 @@ class MeasureValue:
 
     def __float__(self) -> float:
         return self.value
-
-
-def basis_indices(cutoff: int) -> list[FockIndex]:
-    """All grid points (n_a, n_b), lexicographic; flat index = n_a*(cutoff+1)+n_b."""
-    d = cutoff + 1
-    return [FockIndex(na, nb) for na in range(d) for nb in range(d)]
 
 
 def _total_photon_grid(cutoff: int) -> np.ndarray:

@@ -44,26 +44,6 @@ class CouplerParams:
             raise ValidationError(f"J must be positive, got {self.J}")
 
 
-@dataclass(frozen=True)
-class Su2RotationParam:
-    """Group parameters of the coupler rotation at angle Jt.
-
-    alpha is the antisymmetric generator weight i*Jt; xi = alpha tan|alpha|/|alpha|
-    is the equivalent ladder-ordered parameter, with |xi| = tan(Jt).  Note that
-    su2_coefficients uses the conjugate phase (-i)^n, which is the choice
-    consistent with exp(-i H t) evolution; the sign cannot affect any measure.
-    """
-
-    alpha: complex
-    xi: complex
-
-
-def su2_rotation_param(jt: float) -> Su2RotationParam:
-    alpha = 1j * jt
-    xi = 0j if jt == 0 else alpha * math.tan(abs(jt)) / abs(jt)
-    return Su2RotationParam(alpha=alpha, xi=xi)
-
-
 def sector_coupling_matrix(total: int) -> np.ndarray:
     """Matrix of a+ b + b+ a on the sector span{|n, total-n>}, n = 0..total."""
     if total < 0:
@@ -119,19 +99,25 @@ def evolve_lossless(state: TwoModePureState, params: CouplerParams,
     return TwoModePureState(cutoff, out)
 
 
+def _assemble_sectors(cutoff: int, block) -> np.ndarray:
+    """Grid operator with block(total) on each photon sector that fits on the
+    grid (total <= cutoff) and the identity on the corner sectors above it."""
+    d = cutoff + 1
+    out = np.eye(d * d, dtype=complex)
+    for total in range(d):
+        na = np.arange(total + 1)
+        flat = na * d + (total - na)
+        out[np.ix_(flat, flat)] = block(total)
+    return out
+
+
 def lossless_unitary(cutoff: int, params: CouplerParams, t: float) -> np.ndarray:
     """Full-grid propagator, block unitary over photon sectors.
 
     Grid points with n_a + n_b > cutoff cannot host their full sector and are
     left untouched (identity blocks); keep support inside the capacity region.
     """
-    d = cutoff + 1
-    u = np.eye(d * d, dtype=complex)
-    for total in range(cutoff + 1):
-        na = np.arange(total + 1)
-        flat = na * d + (total - na)
-        u[np.ix_(flat, flat)] = _sector_unitary(total, params, t)
-    return u
+    return _assemble_sectors(cutoff, lambda total: _sector_unitary(total, params, t))
 
 
 def evolve_lossless_dm(rho: TwoModeDensityMatrix, params: CouplerParams,
@@ -160,11 +146,25 @@ def su2_coefficients(total: int, jt: float) -> np.ndarray:
     return (-1j) ** n * s ** n * c ** (total - n) * np.sqrt(binom)
 
 
-def _binomial_weights(total: int, jt: float) -> np.ndarray:
+def _binomial_family(total: int, s2: float, c2: float) -> np.ndarray:
+    """binom(N, n) s2^n c2^(N-n), n = 0..N: the photon split of |0, N> behind
+    a rotation with sin^2 = s2 and cos^2 = c2."""
     n = np.arange(total + 1)
     binom = np.array([math.comb(total, int(k)) for k in n], dtype=float)
-    s2, c2 = math.sin(jt) ** 2, math.cos(jt) ** 2
     return binom * s2 ** n * c2 ** (total - n)
+
+
+def _binomial_weights(total: int, jt: float) -> np.ndarray:
+    return _binomial_family(total, math.sin(jt) ** 2, math.cos(jt) ** 2)
+
+
+def _pt_spectrum(diag: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """Partial-transpose spectrum in descending order: each diagonal weight
+    once, +pairs[n, m] for n < m and -pairs[n, m] for n > m."""
+    size = diag.size
+    vals = np.concatenate((diag, pairs[np.triu_indices(size, 1)],
+                           -pairs[np.tril_indices(size, -1)]))
+    return np.sort(vals)[::-1]
 
 
 def pt_spectrum_closed(total: int, jt: float) -> np.ndarray:
@@ -176,12 +176,7 @@ def pt_spectrum_closed(total: int, jt: float) -> np.ndarray:
     """
     weights = _binomial_weights(total, jt)
     mags = np.sqrt(weights)
-    vals = list(weights)
-    for n in range(total + 1):
-        for m in range(n + 1, total + 1):
-            pair = mags[n] * mags[m]
-            vals.extend((pair, -pair))
-    return np.sort(np.asarray(vals))[::-1]
+    return _pt_spectrum(weights, np.outer(mags, mags))
 
 
 def entropy_closed(total: int, jt: float) -> MeasureValue:

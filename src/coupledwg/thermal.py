@@ -2,7 +2,8 @@
 
 The construction keeps a single total-photon sector N and attaches geometric
 (Bose-Einstein) weights nbar^n/(nbar+1)^(n+1) to the coupler's closed-form
-partial-transpose spectrum.  The weighted spectrum does not sum to one: the
+partial-transpose spectrum: the lossless binomial family and its pair
+magnitudes, reweighted.  The weighted spectrum does not sum to one: the
 default "as-printed" variant evaluates it as it stands (this is what the
 reference curves show), while "normalized" rescales the diagonal family to a
 probability vector first.
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .fock import MeasureValue, entropy_bits
+from .lossless import _binomial_weights, _pt_spectrum
 
 _VARIANTS = ("as-printed", "normalized")
 
@@ -43,19 +45,8 @@ def thermal_weight(nbar: float, n: int) -> float:
     return nbar ** n / (nbar + 1.0) ** (n + 1)
 
 
-def _lossless_diagonal(total: int, jt: float) -> np.ndarray:
-    n = np.arange(total + 1)
-    binom = np.array([math.comb(total, int(k)) for k in n], dtype=float)
-    s2, c2 = math.sin(jt) ** 2, math.cos(jt) ** 2
-    return binom * s2 ** n * c2 ** (total - n)
-
-
-def _pair_magnitude(total: int, n: int, m: int, jt: float) -> float:
-    s, c = math.sin(jt), math.cos(jt)
-    return (math.factorial(total)
-            / math.sqrt(math.factorial(total - n) * math.factorial(total - m)
-                        * math.factorial(n) * math.factorial(m))
-            * s ** (n + m) * c ** (2 * total - n - m))
+def _occupation_weights(nbar: float, total: int) -> np.ndarray:
+    return np.array([thermal_weight(nbar, n) for n in range(total + 1)])
 
 
 def _check_variant(variant: str):
@@ -63,19 +54,20 @@ def _check_variant(variant: str):
         raise ValidationError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
 
+def _unit_trace(values: np.ndarray, trace: float) -> np.ndarray:
+    if trace <= 0.0:
+        raise ValidationError("cannot normalize an all-zero spectrum")
+    return values / trace
+
+
 def thermal_diagonal_family(total: int, jt: float, occ: ThermalOccupation,
                             variant: str = "as-printed") -> np.ndarray:
     """Diagonal partial-transpose family: squared mode-a weight times the
     lossless binomial family.  The normalized variant rescales to unit sum."""
     _check_variant(variant)
-    weights = np.array([thermal_weight(occ.nbar_a, n) ** 2
-                        for n in range(total + 1)])
-    fam = weights * _lossless_diagonal(total, jt)
+    fam = _occupation_weights(occ.nbar_a, total) ** 2 * _binomial_weights(total, jt)
     if variant == "normalized":
-        tot = fam.sum()
-        if tot <= 0.0:
-            raise ValidationError("cannot normalize an all-zero spectrum")
-        fam = fam / tot
+        fam = _unit_trace(fam, fam.sum())
     return fam
 
 
@@ -84,26 +76,20 @@ def thermal_pt_spectrum(total: int, jt: float, occ: ThermalOccupation,
     """All (N+1)^2 partial-transpose eigenvalues with thermal weights attached.
 
     Ordered index pairs (n, m), n != m, carry weight_a(n) * weight_b(m) times
-    the lossless pair magnitude, signed + for n < m and - for n > m; for equal
-    occupations this is the usual +- pair family.  Descending order.
+    the lossless pair magnitude sqrt(w_n w_m), signed + for n < m and - for
+    n > m; for equal occupations this is the usual +- pair family.
+    Descending order.
     """
     _check_variant(variant)
     diag = thermal_diagonal_family(total, jt, occ, variant="as-printed")
-    vals = list(diag)
-    for n in range(total + 1):
-        for m in range(total + 1):
-            if n == m:
-                continue
-            mag = (thermal_weight(occ.nbar_a, n) * thermal_weight(occ.nbar_b, m)
-                   * abs(_pair_magnitude(total, n, m, jt)))
-            vals.append(mag if n < m else -mag)
-    spectrum = np.asarray(vals)
+    mags = np.sqrt(_binomial_weights(total, jt))
+    pairs = (np.outer(_occupation_weights(occ.nbar_a, total),
+                      _occupation_weights(occ.nbar_b, total))
+             * np.outer(mags, mags))
+    spectrum = _pt_spectrum(diag, pairs)
     if variant == "normalized":
-        tot = diag.sum()
-        if tot <= 0.0:
-            raise ValidationError("cannot normalize an all-zero spectrum")
-        spectrum = spectrum / tot
-    return np.sort(spectrum)[::-1]
+        spectrum = _unit_trace(spectrum, diag.sum())
+    return spectrum
 
 
 def thermal_entropy(total: int, jt: float, occ: ThermalOccupation,

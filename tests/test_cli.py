@@ -251,6 +251,16 @@ def test_damped_large_gamma_t_gives_vacuum_rows(tmp_path):
     assert np.array_equal(rows[3:, 1:], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
 
 
+def test_purity_large_gamma_t_exits_ok(tmp_path):
+    out = tmp_path / "p.csv"
+    code = main(["purity", "--J", "1", "--gamma", "200", "--tmax", "5",
+                 "--steps", "4", "-o", str(out)])
+    assert code == EXIT_OK
+    _, rows = read_csv(out)
+    assert rows[-1, 1] == pytest.approx(0.0839, abs=1e-4)  # gamma t = 1000
+    assert np.all((rows[:, 1] > 0.0) & (rows[:, 1] <= 1.0))
+
+
 def test_all_figure_ids_run(tmp_path):
     for fig in ("1a", "2b", "2c", "3b", "4a", "4b", "5b", "6"):
         out = tmp_path / f"fig{fig}.csv"

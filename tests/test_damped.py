@@ -17,7 +17,7 @@ from coupledwg.damped import (
     mode_rotation,
     purity_closed,
 )
-from coupledwg.errors import CapacityError, TruncationError, ValidationError
+from coupledwg.errors import CapacityError, NumericalError, TruncationError, ValidationError
 from coupledwg.fock import (
     TwoModeDensityMatrix,
     fock_state,
@@ -121,6 +121,15 @@ def test_disentangle_fixture_values():
     assert dp.gamma_plus == pytest.approx(PRINTED_GAMMA_PLUS, abs=1e-14)
     assert dp.gamma_3 == pytest.approx(PRINTED_GAMMA_3, abs=1e-14)
     assert dp.gamma_minus == pytest.approx(PRINTED_GAMMA_MINUS, abs=1e-14)
+
+
+def test_factorization_overflow_is_typed():
+    # gamma t = 1000 overflows cosh(phi); gamma t = 710 leaves cosh finite but
+    # the ordered-form coefficients not
+    with pytest.raises(NumericalError):
+        disentangle_params(DampedParams(0.0, 1.0, 200.0), 5.0)
+    with pytest.raises(NumericalError):
+        loss_channel_factors(1.0, 710.0)
 
 
 def test_disentangle_boundary_identities():
@@ -292,6 +301,33 @@ def test_damped_entropy_values():
     for total, t in ((2, 1.1), (4, 0.6)):
         assert float(damped_entropy(total, lossfree, t)) == pytest.approx(
             float(entropy_closed(total, 0.5 * t)), abs=1e-12)
+
+
+def test_damped_closed_forms_are_lossless_family_at_effective_angle():
+    # phi = atan(|sinh th| / |cosh th|), th = (sqrt(2) gamma + i J) t
+    for gamma in (0.01, 0.05, 0.1):
+        params = DampedParams(0.0, 0.5, gamma)
+        for t in np.linspace(0.0, 5.0, 51):
+            th = complex(math.sqrt(2.0) * gamma, 0.5) * float(t)
+            phi = math.atan(abs(cmath.sinh(th)) / abs(cmath.cosh(th)))
+            for total in range(1, 7):
+                ours = damped_pt_spectrum(total, params, float(t))
+                assert np.max(np.abs(ours - pt_spectrum_closed(total, phi))) <= 1e-14
+                assert abs(float(damped_entropy(total, params, float(t)))
+                           - float(entropy_closed(total, phi))) <= 1e-14
+
+
+def test_closed_forms_at_large_gamma_t():
+    # gamma t = 1000: the family tends to Binomial(N, 1/2), i.e. the lossless
+    # family at Jt = pi/4, and the purity exponent to -4 gamma t / (th + mix)
+    params = DampedParams(0.0, 1.0, 200.0)
+    assert float(damped_entropy(2, params, 5.0)) == pytest.approx(1.5, abs=1e-12)
+    assert np.allclose(damped_pt_spectrum(2, params, 5.0),
+                       pt_spectrum_closed(2, math.pi / 4), atol=1e-12)
+    th = complex(math.sqrt(2.0) * 200.0, 1.0) * 5.0
+    limit = cmath.exp(-4000.0 / (th + complex(200.0, 5.0))).real
+    assert float(purity_closed(params, 5.0)) == pytest.approx(limit, abs=1e-12)
+    assert float(purity_closed(params, 5.0)) == pytest.approx(0.0839, abs=1e-4)
 
 
 def test_purity_boundary_cases():

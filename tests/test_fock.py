@@ -14,12 +14,10 @@ import pytest
 from coupledwg.errors import CapacityError, ValidationError
 from coupledwg import fock
 from coupledwg.fock import (
-    FockIndex,
     MeasureValue,
     StateSpec,
     TwoModeDensityMatrix,
     TwoModePureState,
-    basis_indices,
     entropy_bits,
     fock_state,
     log_negativity,
@@ -53,17 +51,6 @@ def random_mixed(rng, cutoff, rank=3):
 
 
 # ---------------------------------------------------------------- grid layout
-
-
-def test_basis_indices_lexicographic():
-    idx = basis_indices(2)
-    assert len(idx) == 9
-    assert idx[0] == FockIndex(0, 0)
-    assert idx[1] == FockIndex(0, 1)
-    assert idx[3] == FockIndex(1, 0)
-    # flat index = n_a * (cutoff+1) + n_b
-    for flat, (na, nb) in enumerate(idx):
-        assert flat == na * 3 + nb
 
 
 def test_fock_state_places_single_amplitude():

@@ -11,15 +11,12 @@ from coupledwg.gaussian import (
     is_physical,
     log_negativity_gaussian,
     simon_separable,
-    squeezing_parameters,
     symplectic_eigenvalues,
     thermal_evolved_covariance,
-    thermal_evolved_state,
     tmsv_covariance,
     two_mode_squeezed_state,
     vacuum_covariance,
     vacuum_evolved_covariance,
-    vacuum_evolved_state,
 )
 
 P = DampedParams(omega=0.0, J=0.5, gamma=0.05)
@@ -117,8 +114,8 @@ def test_evolved_states_stay_physical():
     for gamma in (0.0, 0.05, 0.3):
         p = DampedParams(0.0, 0.5, gamma)
         for t in (0.0, 0.7, 4.0, 20.0):
-            assert is_physical(vacuum_evolved_state(p, t, 0.25, 0.25))
-            assert is_physical(thermal_evolved_state(p, t, 1.0, 1.0, 0.25, 0.25))
+            assert is_physical(vacuum_evolved_covariance(p, t, 0.25, 0.25))
+            assert is_physical(thermal_evolved_covariance(p, t, 1.0, 1.0, 0.25, 0.25))
 
 
 def test_thermal_fixture_matrix():
@@ -180,17 +177,10 @@ def test_simon_matches_log_negativity_on_random_states():
 
 def test_unbalanced_thermal_inputs_can_be_rejected():
     # strongly asymmetric occupations and squeezings push the thermal
-    # correction outside the uncertainty bound; the constructor must say so
+    # correction outside the uncertainty bound; the physicality check must
+    # say so
     lossfree = DampedParams(0.0, 0.5, 0.0)
-    with pytest.raises(ValidationError):
-        thermal_evolved_state(lossfree, 1.0, 0.0, 1.5, 1.0, 0.2)
-
-
-def test_squeezing_parameters_helper():
-    r1, r2 = squeezing_parameters(DampedParams(0.5, 0.5, 0.05))
-    assert r1 == pytest.approx(math.asinh(1.0 / math.sqrt(2.0)), abs=1e-15)
-    assert r2 > 0.0
-    assert squeezing_parameters(DampedParams(0.0, 0.5, 0.0)) == (0.0, 0.0)
+    assert not is_physical(thermal_evolved_covariance(lossfree, 1.0, 0.0, 1.5, 1.0, 0.2))
 
 
 def test_discriminant_guard():

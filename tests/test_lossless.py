@@ -33,7 +33,6 @@ from coupledwg.lossless import (
     pt_spectrum_closed,
     sector_coupling_matrix,
     su2_coefficients,
-    su2_rotation_param,
 )
 
 ENTROPY_PEAK_N2 = 1.5
@@ -103,6 +102,9 @@ def test_coefficients_match_propagator():
             out = evolve_lossless(fock_state(0, total, cutoff=total), p, jt)
             n = np.arange(total + 1)
             assert np.allclose(out.amplitudes[n, total - n], coeff, atol=1e-12)
+            # the phase convention of exp(-iHt): c_1 / c_0 = -i sqrt(N) tan(Jt)
+            want = -1j * math.sqrt(total) * math.tan(jt)
+            assert abs(coeff[1] / coeff[0] - want) < 1e-12
 
 
 def test_four_photon_coefficient_pattern():
@@ -171,21 +173,6 @@ def test_density_matrix_evolution_matches_pure():
     evolved_dm = evolve_lossless_dm(rho, p, t)
     evolved_pure = TwoModeDensityMatrix.from_pure(evolve_lossless(st, p, t))
     assert np.allclose(evolved_dm.entries, evolved_pure.entries, atol=1e-12)
-
-
-def test_rotation_param_invariant():
-    for jt in (0.1, 0.5, 1.0):
-        par = su2_rotation_param(jt)
-        assert par.alpha == 1j * jt
-        assert abs(abs(par.xi) - math.tan(jt)) < 1e-12
-        assert abs(par.xi - 1j * math.tan(jt)) < 1e-12
-    assert su2_rotation_param(0.0).xi == 0.0
-    # the coefficient phases are the conjugate choice; magnitudes agree
-    jt = 0.35
-    coeff = su2_coefficients(1, jt)
-    xi = su2_rotation_param(jt).xi
-    assert abs(abs(coeff[1] / coeff[0]) - abs(xi)) < 1e-12
-    assert abs(coeff[1] / coeff[0] - xi.conjugate()) < 1e-12
 
 
 def test_closed_spectrum_matches_numerics():

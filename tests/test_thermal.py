@@ -107,6 +107,23 @@ def test_equal_occupations_give_sign_pairs():
         assert np.any(np.isclose(poss, -v, atol=1e-14))
 
 
+def test_unequal_occupations_follow_ordered_pair_loop():
+    # per-pair loop reference: weight_a(n) weight_b(m) sqrt(w_n w_m), signed
+    # + for n < m and - for n > m
+    occ = ThermalOccupation(1.0, 3.0)
+    total, jt = 3, 0.7
+    w = [math.comb(total, n) * math.sin(jt) ** (2 * n) * math.cos(jt) ** (2 * (total - n))
+         for n in range(total + 1)]
+    ref = [thermal_weight(1.0, n) ** 2 * w[n] for n in range(total + 1)]
+    for n in range(total + 1):
+        for m in range(total + 1):
+            if n != m:
+                mag = thermal_weight(1.0, n) * thermal_weight(3.0, m) * math.sqrt(w[n] * w[m])
+                ref.append(mag if n < m else -mag)
+    ours = thermal_pt_spectrum(total, jt, occ)
+    assert np.max(np.abs(ours - np.sort(ref)[::-1])) <= 1e-14
+
+
 def test_normalized_diagonal_sums_to_one():
     occ = ThermalOccupation(2.0, 2.0)
     fam = thermal_diagonal_family(4, 0.6, occ, variant="normalized")
