@@ -13,6 +13,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -86,7 +87,20 @@ def parse_state_spec(text: str) -> StateSpec:
             f"malformed state spec {text!r}; grammar: {_GRAMMAR}") from None
 
 
-_VARIANTS = tuple(dict.fromkeys(_THERMAL_VARIANTS + _PURITY_VARIANTS))
+# flag (also its config-file key) -> (RunConfig field, converter, bound):
+# a bound is (comparison, lowest allowed value), or None for any value.
+# RunConfig checks the bounds in this order and refuses non-finite floats.
+_FLAGS = {
+    "steps": ("steps", int, (">=", 2)), "tmax": ("t_max", float, (">", 0)),
+    "tol": ("tol", float, (">", 0)), "nbar": ("nbar", float, (">=", 0)),
+    "nbar_max": ("nbar_max", float, (">", 0)), "N": ("total", int, (">=", 1)),
+    "dt": ("dt", float, (">", 0)), "J": ("coupling", float, (">", 0)),
+    "gamma": ("gamma", float, (">=", 0)), "omega": ("omega", float, None),
+    "r": ("squeeze", float, None), "jt": ("jt_fixed", float, None),
+    "cutoff": ("cutoff", int, None), "input": ("input_spec", str, None),
+    "output": ("output_path", str, None), "variant": ("variant", str, None),
+    "sweep": ("sweep", str, None), "dump_states": ("dump_states", str, None),
+}
 
 
 @dataclass(frozen=True)
@@ -116,24 +130,19 @@ class RunConfig:
     figure_id: str | None = None
 
     def __post_init__(self):
-        if self.steps < 2:
-            raise UsageError(f"steps must be >= 2, got {self.steps}")
-        if not (math.isfinite(self.t_max) and self.t_max > 0.0):
-            raise UsageError(f"tmax must be > 0, got {self.t_max}")
-        if self.variant not in _VARIANTS:
-            raise UsageError(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
+        for flag, (field, _, bound) in _FLAGS.items():
+            value, name = getattr(self, field), flag.replace("_", "-")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"{name} must be finite, got {value}")
+            if value is not None and bound is not None:
+                op, low = bound
+                if not (value > low if op == ">" else value >= low):
+                    raise UsageError(f"{name} must be {op} {low}, got {value}")
+        variants = _COMMANDS[self.command].variants
+        if variants and self.variant not in variants:
+            raise UsageError(f"{self.command} variant must be one of {variants}")
         if self.sweep not in ("jt", "nbar"):
             raise UsageError(f"sweep must be 'jt' or 'nbar', got {self.sweep!r}")
-        if self.tol <= 0.0:
-            raise UsageError(f"tol must be > 0, got {self.tol}")
-        if self.nbar < 0.0:
-            raise UsageError(f"nbar must be >= 0, got {self.nbar}")
-        if self.nbar_max <= 0.0:
-            raise UsageError(f"nbar-max must be > 0, got {self.nbar_max}")
-        if self.total < 1:
-            raise UsageError(f"N must be >= 1, got {self.total}")
-        if self.dt is not None and self.dt <= 0.0:
-            raise UsageError(f"dt must be > 0, got {self.dt}")
         if self.cutoff is not None:
             needed = parse_state_spec(self.input_spec).photons_needed()
             if self.cutoff < needed:
@@ -172,28 +181,34 @@ def _write_text(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path!r}: {exc}") from None
 
 
-def _resolved_cutoff(cfg: RunConfig, spec: StateSpec) -> int:
-    if cfg.cutoff is not None:
-        return cfg.cutoff
-    return spec.photons_needed()
-
-
 def _pure_reduced_entropy(state) -> float:
     sigma = state.amplitudes @ state.amplitudes.conj().T
     return float(von_neumann_entropy(sigma))
 
 
-def _grid_state(cfg: RunConfig, allowed=("fock", "noon")):
+def _input_spec(cfg: RunConfig, fallback: StateSpec | None = None) -> StateSpec:
+    """The --input state, checked against the command's input kinds; with no
+    --input, the fallback state the command's own flags describe."""
+    if fallback is not None and not cfg.input_spec:
+        return fallback
     spec = parse_state_spec(cfg.input_spec)
-    if spec.kind not in allowed:
+    kinds = _COMMANDS[cfg.command].kinds
+    if spec.kind not in kinds:
+        takers = [name for name, c in _COMMANDS.items() if spec.kind in c.kinds]
         raise UsageError(
-            f"{cfg.command} needs an input of kind {'/'.join(allowed)}, got "
-            f"{spec.kind!r} (thermal -> `thermal` command, tmsv -> `gaussian`)")
-    return spec, make_pure_state(spec, _resolved_cutoff(cfg, spec))
+            f"{cfg.command} needs an input of kind {'/'.join(kinds)}, got "
+            f"{cfg.input_spec!r} ({spec.kind} -> {'/'.join(takers)})")
+    return spec
+
+
+def _grid_state(cfg: RunConfig):
+    spec = _input_spec(cfg)
+    cutoff = spec.photons_needed() if cfg.cutoff is None else cfg.cutoff
+    return make_pure_state(spec, cutoff)
 
 
 def _run_lossless(cfg: RunConfig) -> None:
-    _, state = _grid_state(cfg)
+    state = _grid_state(cfg)
     params = CouplerParams(cfg.omega, cfg.coupling)
     times = np.linspace(0.0, cfg.t_max, cfg.steps + 1)
     en, ent = [], []
@@ -206,13 +221,7 @@ def _run_lossless(cfg: RunConfig) -> None:
 
 
 def _run_noon(cfg: RunConfig) -> None:
-    if cfg.input_spec:
-        spec = parse_state_spec(cfg.input_spec)
-        if spec.kind != "noon":
-            raise UsageError(f"noon needs a noon:<N> input, got {cfg.input_spec!r}")
-        total = int(spec.params[0])
-    else:
-        total = cfg.total
+    (total,) = _input_spec(cfg, StateSpec("noon", (cfg.total,))).params
     jt = np.linspace(0.0, cfg.coupling * cfg.t_max, cfg.steps + 1)
     en = np.array([float(noon_log_negativity(total, float(x))) for x in jt])
     ent = np.array([float(entropy_closed(total, float(x))) for x in jt])
@@ -220,17 +229,8 @@ def _run_noon(cfg: RunConfig) -> None:
 
 
 def _run_thermal(cfg: RunConfig) -> None:
-    if cfg.input_spec:
-        spec = parse_state_spec(cfg.input_spec)
-        if spec.kind != "thermal":
-            raise UsageError(
-                f"thermal needs a thermal:<nbar_a>,<nbar_b> input, got "
-                f"{cfg.input_spec!r}")
-    else:
-        spec = StateSpec("thermal", (cfg.nbar, cfg.nbar))
+    spec = _input_spec(cfg, StateSpec("thermal", (cfg.nbar, cfg.nbar)))
     occ = ThermalOccupation(*spec.params)
-    if cfg.variant not in _THERMAL_VARIANTS:
-        raise UsageError(f"thermal variant must be one of {_THERMAL_VARIANTS}")
     if cfg.sweep == "jt":
         jt = np.linspace(0.0, cfg.coupling * cfg.t_max, cfg.steps + 1)
         ent = np.array([float(thermal_entropy(cfg.total, float(x), occ, cfg.variant))
@@ -245,7 +245,7 @@ def _run_thermal(cfg: RunConfig) -> None:
 
 
 def _run_damped(cfg: RunConfig) -> None:
-    _, state = _grid_state(cfg)
+    state = _grid_state(cfg)
     rho = TwoModeDensityMatrix.from_pure(state)
     p = DampedParams(cfg.omega, cfg.coupling, cfg.gamma)
     times = np.linspace(0.0, cfg.t_max, cfg.steps + 1)
@@ -260,13 +260,7 @@ def _run_damped(cfg: RunConfig) -> None:
 
 
 def _run_gaussian(cfg: RunConfig) -> None:
-    if cfg.input_spec:
-        spec = parse_state_spec(cfg.input_spec)
-        if spec.kind != "tmsv":
-            raise UsageError(f"gaussian needs a tmsv:<r> input, got {cfg.input_spec!r}")
-        r = float(spec.params[0])
-    else:
-        r = cfg.squeeze
+    (r,) = _input_spec(cfg, StateSpec("tmsv", (cfg.squeeze,))).params
     p = DampedParams(cfg.omega, cfg.coupling, cfg.gamma)
     times = np.linspace(0.0, cfg.t_max, cfg.steps + 1)
     en = np.array([float(log_negativity_gaussian(
@@ -276,8 +270,6 @@ def _run_gaussian(cfg: RunConfig) -> None:
 
 
 def _run_purity(cfg: RunConfig) -> None:
-    if cfg.variant not in _PURITY_VARIANTS:
-        raise UsageError(f"purity variant must be one of {_PURITY_VARIANTS}")
     p = DampedParams(cfg.omega, cfg.coupling, cfg.gamma)
     times = np.linspace(0.0, cfg.t_max, cfg.steps + 1)
     pur = np.array([float(purity_closed(p, float(t), cfg.variant)) for t in times])
@@ -285,7 +277,7 @@ def _run_purity(cfg: RunConfig) -> None:
 
 
 def _run_compare(cfg: RunConfig) -> None:
-    _, state = _grid_state(cfg)
+    state = _grid_state(cfg)
     rho = TwoModeDensityMatrix.from_pure(state)
     p = DampedParams(cfg.omega, cfg.coupling, cfg.gamma)
     # half the library suggestion: the positivity gate on long runs needs the
@@ -473,67 +465,48 @@ def _run_figure(cfg: RunConfig) -> None:
     write_csv(path, header, cols)
 
 
-_RUNNERS = {
-    "lossless": _run_lossless,
-    "noon": _run_noon,
-    "thermal": _run_thermal,
-    "damped": _run_damped,
-    "gaussian": _run_gaussian,
-    "purity": _run_purity,
-    "compare": _run_compare,
-    "figure": _run_figure,
+class _Command(NamedTuple):
+    """One subcommand: its runner and the flags and values it accepts."""
+
+    run: Callable[[RunConfig], None]
+    flags: dict  # flag -> this command's default, or None for RunConfig's
+    kinds: tuple = ()  # --input state kinds
+    variants: tuple = ()  # --variant values
+
+
+_GRID_KINDS = ("fock", "noon")
+_COMMANDS = {
+    "lossless": _Command(_run_lossless, dict(
+        input=None, omega=None, J=None, tmax=None, steps=None, cutoff=None,
+        output=None), _GRID_KINDS),
+    "noon": _Command(_run_noon, dict(
+        input="", N=None, J=None, tmax=None, steps=None, output=None), ("noon",)),
+    "thermal": _Command(_run_thermal, dict(
+        input="", N=None, nbar=None, J=None, tmax=math.pi / 2, steps=None,
+        variant=None, sweep=None, jt=None, nbar_max=None, output=None),
+        ("thermal",), _THERMAL_VARIANTS),
+    "damped": _Command(_run_damped, dict(
+        input=None, omega=None, J=0.5, gamma=0.05, tmax=2.0 * math.pi, steps=None,
+        cutoff=None, output=None), _GRID_KINDS),
+    "gaussian": _Command(_run_gaussian, dict(
+        input="", omega=None, J=0.5, gamma=0.05, r=None, nbar=0.0, tmax=10.0,
+        steps=None, output=None), ("tmsv",)),
+    "purity": _Command(_run_purity, dict(
+        omega=None, J=3.0, gamma=0.05, tmax=20.0, steps=None, variant=None,
+        output=None), (), _PURITY_VARIANTS),
+    "compare": _Command(_run_compare, dict(
+        input="noon:2", omega=None, J=0.5, gamma=0.05, tmax=10.0, steps=20,
+        cutoff=None, dt=None, tol=None, dump_states=None, output=None), _GRID_KINDS),
+    "figure": _Command(_run_figure, dict(output=None)),
 }
 
 
 def run(cfg: RunConfig) -> int:
-    _RUNNERS[cfg.command](cfg)
+    _COMMANDS[cfg.command].run(cfg)
     return EXIT_OK
 
 
 # --- argument plumbing -------------------------------------------------------
-
-_CONVERTERS = {
-    "omega": float, "J": float, "gamma": float, "nbar": float, "r": float,
-    "N": int, "cutoff": int, "tmax": float, "steps": int, "input": str,
-    "output": str, "variant": str, "dt": float, "tol": float, "sweep": str,
-    "jt": float, "nbar_max": float, "dump_states": str,
-}
-
-_FLAG_TO_FIELD = {
-    "omega": "omega", "J": "coupling", "gamma": "gamma", "nbar": "nbar",
-    "r": "squeeze", "N": "total", "cutoff": "cutoff", "tmax": "t_max",
-    "steps": "steps", "input": "input_spec", "output": "output_path",
-    "variant": "variant", "dt": "dt", "tol": "tol", "sweep": "sweep",
-    "jt": "jt_fixed", "nbar_max": "nbar_max", "dump_states": "dump_states",
-}
-
-_COMMAND_FLAGS = {
-    "lossless": ("input", "omega", "J", "tmax", "steps", "cutoff", "output"),
-    "noon": ("input", "N", "J", "tmax", "steps", "output"),
-    "thermal": ("input", "N", "nbar", "J", "tmax", "steps", "variant",
-                "sweep", "jt", "nbar_max", "output"),
-    "damped": ("input", "omega", "J", "gamma", "tmax", "steps", "cutoff", "output"),
-    "gaussian": ("input", "omega", "J", "gamma", "r", "nbar", "tmax", "steps", "output"),
-    "purity": ("omega", "J", "gamma", "tmax", "steps", "variant", "output"),
-    "compare": ("input", "omega", "J", "gamma", "tmax", "steps", "cutoff",
-                "dt", "tol", "dump_states", "output"),
-    "figure": ("output",),
-}
-
-_COMMAND_DEFAULTS = {
-    "lossless": {"input_spec": "fock:1,1", "coupling": 1.0, "t_max": math.pi},
-    "noon": {"input_spec": "", "coupling": 1.0, "t_max": math.pi},
-    "thermal": {"input_spec": "", "coupling": 1.0, "t_max": math.pi / 2},
-    "damped": {"input_spec": "fock:1,1", "coupling": 0.5, "gamma": 0.05,
-               "t_max": 2.0 * math.pi},
-    "gaussian": {"input_spec": "", "coupling": 0.5, "gamma": 0.05,
-                 "t_max": 10.0, "nbar": 0.0},
-    "purity": {"coupling": 3.0, "gamma": 0.05, "t_max": 20.0},
-    "compare": {"input_spec": "noon:2", "coupling": 0.5, "gamma": 0.05,
-                "t_max": 10.0, "steps": 20},
-    "figure": {},
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -541,13 +514,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entanglement and decoherence curves for two coupled "
                     "lossy waveguide modes (CSV output).")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, flags in _COMMAND_FLAGS.items():
+    for command, spec in _COMMANDS.items():
         p = sub.add_parser(command)
         if command == "figure":
             p.add_argument("figure_id", help="one of " + ", ".join(sorted(FIGURES)))
         p.add_argument("--config", default=None,
                        help="key=value file; flags given here override it")
-        for flag in flags:
+        for flag in spec.flags:
             option = "--" + flag.replace("_", "-")
             if flag == "output":
                 p.add_argument(option, "-o", default=None)
@@ -569,7 +542,7 @@ def _read_config_file(path: str) -> dict:
             continue
         key, sep, value = line.partition("=")
         key = key.strip()
-        if not sep or key not in _CONVERTERS:
+        if not sep or key not in _FLAGS:
             raise UsageError(f"{path}:{lineno}: expected <key>=<value> with a "
                              f"known key, got {raw!r}")
         values[key] = value.strip()
@@ -578,27 +551,23 @@ def _read_config_file(path: str) -> dict:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     command = args.command
-    allowed = set(_COMMAND_FLAGS[command])
-    merged = dict(_COMMAND_DEFAULTS[command])
-    if getattr(args, "config", None):
+    flags = _COMMANDS[command].flags
+    merged = {_FLAGS[flag][0]: value for flag, value in flags.items() if value is not None}
+    given = []
+    if args.config:
         for key, raw in _read_config_file(args.config).items():
-            if key not in allowed:
+            if key not in flags:
                 raise UsageError(f"config key {key!r} not valid for {command!r}")
-            try:
-                merged[_FLAG_TO_FIELD[key]] = _CONVERTERS[key](raw)
-            except ValueError:
-                raise UsageError(f"config key {key!r}: bad value {raw!r}") from None
-    for flag in allowed:
-        raw = getattr(args, flag, None)
-        if raw is None:
-            continue
+            given.append((key, raw, f"config key {key!r}"))
+    given += [(flag, getattr(args, flag), "--" + flag.replace("_", "-"))
+              for flag in flags if getattr(args, flag) is not None]
+    for flag, raw, source in given:
+        field, convert, _ = _FLAGS[flag]
         try:
-            merged[_FLAG_TO_FIELD[flag]] = _CONVERTERS[flag](raw)
+            merged[field] = convert(raw)
         except ValueError:
-            raise UsageError(f"--{flag.replace('_', '-')}: bad value {raw!r}") from None
-    if command == "figure":
-        merged["figure_id"] = args.figure_id
-    return RunConfig(command=command, **merged)
+            raise UsageError(f"{source}: bad value {raw!r}") from None
+    return RunConfig(command=command, figure_id=getattr(args, "figure_id", None), **merged)
 
 
 def main(argv=None) -> int:

@@ -36,7 +36,6 @@ class IntegratorConfig:
 
     dt: float
     t_max: float
-    method: str = "rk4"
     cutoff: int | None = None
 
     def __post_init__(self):
@@ -44,8 +43,6 @@ class IntegratorConfig:
             raise ValidationError(f"dt must be finite and > 0, got {self.dt}")
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise ValidationError(f"t_max must be finite and > 0, got {self.t_max}")
-        if self.method != "rk4":
-            raise ValidationError(f"only the rk4 method is implemented, got {self.method!r}")
         if self.cutoff is not None and self.cutoff < 0:
             raise ValidationError(f"cutoff must be >= 0, got {self.cutoff}")
 
@@ -187,22 +184,8 @@ class DeviationReport:
     purity_delta: np.ndarray
 
     @property
-    def worst_entry(self) -> float:
-        return float(self.max_abs_entry.max())
-
-    @property
     def worst_trace_distance(self) -> float:
         return float(self.trace_distances.max())
-
-    def as_dict(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "max_abs_entry": self.max_abs_entry.tolist(),
-            "trace_distances": self.trace_distances.tolist(),
-            "entropy_delta": self.entropy_delta.tolist(),
-            "log_negativity_delta": self.log_negativity_delta.tolist(),
-            "purity_delta": self.purity_delta.tolist(),
-        }
 
 
 def compare(closed_states: Iterable, oracle: Trajectory) -> DeviationReport:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from coupledwg.cli import (
     EXIT_USAGE,
     RunConfig,
     UsageError,
+    build_parser,
+    config_from_args,
     main,
     parse_state_spec,
 )
@@ -126,6 +130,17 @@ def test_compare_dump_states(tmp_path):
     ["purity", "--variant", "normalized"],
     ["noon", "--input", "fock:1,1"],
     ["gaussian", "--input", "noon:2"],
+    ["compare", "--input", "fock:1,1", "--gamma", "0.05", "--J", "0.5", "--tmax", "2",
+     "--steps", "4", "--tol", "nan"],
+    ["thermal", "--sweep", "nbar", "--jt", "nan", "--steps", "4"],
+    ["damped", "--J", "0"],
+    ["purity", "--J", "0"],
+    ["damped", "--gamma", "-1"],
+    ["lossless", "--omega", "nan"],
+    ["gaussian", "--r", "inf"],
+    ["gaussian", "--nbar", "nan"],
+    ["compare", "--dt", "nan"],
+    ["thermal", "--sweep", "nbar", "--nbar-max", "inf"],
 ])
 def test_usage_errors_exit_two(argv, tmp_path, capsys):
     assert main(argv + ["-o", str(tmp_path / "x.csv")]) == EXIT_USAGE
@@ -268,3 +283,74 @@ def test_all_figure_ids_run(tmp_path):
         header, rows = read_csv(out)
         assert len(header) == rows.shape[1]
         assert np.all(np.diff(rows[:, 0]) > 0)
+
+
+# The CLI surface, written out by hand: the options each command accepts and
+# the settings it resolves when given none.
+_COMMAND_OPTIONS = {
+    "lossless": ("--input", "--omega", "--J", "--tmax", "--steps", "--cutoff"),
+    "noon": ("--input", "--N", "--J", "--tmax", "--steps"),
+    "thermal": ("--input", "--N", "--nbar", "--J", "--tmax", "--steps",
+                "--variant", "--sweep", "--jt", "--nbar-max"),
+    "damped": ("--input", "--omega", "--J", "--gamma", "--tmax", "--steps", "--cutoff"),
+    "gaussian": ("--input", "--omega", "--J", "--gamma", "--r", "--nbar", "--tmax",
+                 "--steps"),
+    "purity": ("--omega", "--J", "--gamma", "--tmax", "--steps", "--variant"),
+    "compare": ("--input", "--omega", "--J", "--gamma", "--tmax", "--steps", "--cutoff",
+                "--dt", "--tol", "--dump-states"),
+    "figure": (),
+}
+
+_BASE_SETTINGS = dict(
+    omega=0.0, coupling=1.0, gamma=0.0, nbar=1.0, squeeze=0.25, total=2, cutoff=None,
+    t_max=math.pi, steps=100, input_spec="fock:1,1", output_path=None,
+    variant="as-printed", dt=None, tol=1e-4, sweep="jt", jt_fixed=math.pi / 4,
+    nbar_max=8.0, dump_states=None, figure_id=None)
+
+_COMMAND_SETTINGS = {
+    "lossless": {},
+    "noon": {"input_spec": ""},
+    "thermal": {"input_spec": "", "t_max": math.pi / 2},
+    "damped": {"coupling": 0.5, "gamma": 0.05, "t_max": 2.0 * math.pi},
+    "gaussian": {"input_spec": "", "coupling": 0.5, "gamma": 0.05, "t_max": 10.0,
+                 "nbar": 0.0},
+    "purity": {"coupling": 3.0, "gamma": 0.05, "t_max": 20.0},
+    "compare": {"input_spec": "noon:2", "coupling": 0.5, "gamma": 0.05, "t_max": 10.0,
+                "steps": 20},
+    "figure": {"figure_id": "1a"},
+}
+
+_ALL_OPTIONS = sorted({opt for opts in _COMMAND_OPTIONS.values() for opt in opts})
+
+
+def _head(command):
+    return [command, "1a"] if command == "figure" else [command]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_OPTIONS))
+def test_cli_surface_per_command(command, capsys):
+    parser = build_parser()
+    expected = set(_COMMAND_OPTIONS[command]) | {"--config", "--output", "-o"}
+    accepted = set()
+    for option in _ALL_OPTIONS + ["--config", "--output", "-o"]:
+        try:
+            parser.parse_args(_head(command) + [option, "1"])
+        except SystemExit:
+            continue
+        accepted.add(option)
+    assert accepted == expected
+    cfg = config_from_args(parser.parse_args(_head(command)))
+    assert dataclasses.asdict(cfg) == dict(
+        _BASE_SETTINGS, command=command, **_COMMAND_SETTINGS[command])
+    assert main([command, "--help"]) == EXIT_OK
+    capsys.readouterr()
+
+
+_REF_FIGURES = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "figures"
+
+
+@pytest.mark.parametrize("figure_id", sorted(p.stem for p in _REF_FIGURES.glob("*.csv")))
+def test_figure_csv_byte_identical_to_reference(figure_id, tmp_path):
+    out = tmp_path / f"{figure_id}.csv"
+    assert main(["figure", figure_id, "-o", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (_REF_FIGURES / f"{figure_id}.csv").read_bytes()

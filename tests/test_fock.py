@@ -57,7 +57,7 @@ def test_fock_state_places_single_amplitude():
     st = fock_state(1, 2, cutoff=4)
     assert st.amplitudes[1, 2] == 1.0
     assert np.count_nonzero(st.amplitudes) == 1
-    assert st.dim == 25
+    assert st.flat().shape == (25,)
 
 
 def test_capacity_rule_on_constructors():
@@ -102,6 +102,11 @@ def test_density_matrix_must_be_hermitian():
     m[0, 1] = 0.1
     with pytest.raises(ValidationError):
         TwoModeDensityMatrix(1, m)
+    # past the first slice of rows the check reads
+    big = np.eye(17 * 17, dtype=complex) / 17 ** 2
+    big[280, 270] = 1e-9
+    with pytest.raises(ValidationError, match="Hermiticity"):
+        TwoModeDensityMatrix(16, big)
 
 
 def test_density_matrix_must_have_unit_trace():

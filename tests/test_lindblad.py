@@ -30,8 +30,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         IntegratorConfig(dt=0.01, t_max=0.0)
     with pytest.raises(ValidationError):
-        IntegratorConfig(dt=0.01, t_max=1.0, method="euler")
-    with pytest.raises(ValidationError):
         IntegratorConfig(dt=0.01, t_max=1.0, cutoff=-1)
 
 
@@ -168,16 +166,11 @@ def test_compare_against_closed_form():
     closed = [evolve_damped_exact(rho, p, t) for t in times]
     report = compare(closed, traj)
     assert isinstance(report, DeviationReport)
-    assert report.worst_entry < 1e-8
+    assert report.max_abs_entry.max() < 1e-8
     assert report.worst_trace_distance < 1e-8
     assert np.max(np.abs(report.entropy_delta)) < 1e-6
     assert np.max(np.abs(report.log_negativity_delta)) < 1e-6
     assert np.max(np.abs(report.purity_delta)) < 1e-6
-    payload = report.as_dict()
-    assert sorted(payload) == ["entropy_delta", "log_negativity_delta",
-                               "max_abs_entry", "purity_delta",
-                               "times", "trace_distances"]
-    assert payload["times"] == times
 
 
 def test_compare_length_mismatch():
