@@ -229,6 +229,9 @@ def _run_noon(cfg: RunConfig) -> None:
 
 
 def _run_thermal(cfg: RunConfig) -> None:
+    if cfg.sweep == "nbar" and cfg.input_spec:
+        raise UsageError("--sweep nbar sweeps equal occupations over its own "
+                         f"grid and takes no --input, got {cfg.input_spec!r}")
     spec = _input_spec(cfg, StateSpec("thermal", (cfg.nbar, cfg.nbar)))
     occ = ThermalOccupation(*spec.params)
     if cfg.sweep == "jt":

@@ -5,12 +5,23 @@ ordered lexicographically in (n_a, n_b).  Constructors for named states enforce
 n_a + n_b <= cutoff so that photon-conserving (and photon-losing) dynamics stay
 exact on the grid.  All logarithms are base 2: entropies and logarithmic
 negativities are reported in bits.
+
+Density-matrix validation and the negativity solve eigenproblems sector by
+sector.  The coupler conserves n_a + n_b and loss keeps coherence offsets, so
+a Fock or NOON input stays block-diagonal in n_a + n_b; its partial transpose
+is then block-diagonal in n_a - n_b.  For the two-mode squeezed vacuum the
+roles swap.  Which labelling holds is read from the exact zeros of rho, and
+its 2d - 1 blocks (d = cutoff + 1) are solved at a cost of about
+(2d - 1) d^3 instead of d^6.  A matrix block-diagonal in neither labelling,
+such as a squeezed state after the coupler, falls back to one dense
+(d^2) x (d^2) solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -124,7 +135,7 @@ class TwoModeDensityMatrix:
         tr = ent.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        evals = _eigvalsh(ent)
+        evals = _spectrum(ent, d)
         if evals.min() < EIG_FLOOR:
             raise ValidationError(f"matrix has eigenvalue {evals.min():.3e} below {EIG_FLOOR}")
         ent.setflags(write=False)
@@ -146,8 +157,47 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
         raise NumericalError(
             f"eigensolver failed on {mat.shape} matrix "
             f"(norm {np.linalg.norm(mat):.3e}, "
-            f"herm residual {np.abs(mat - mat.conj().T).max():.3e}): {exc}"
+            f"herm residual {np.abs(mat - np.swapaxes(mat, -1, -2).conj()).max():.3e}): {exc}"
         ) from exc
+
+
+@lru_cache(maxsize=None)
+def _sectors(d: int, sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2d - 1 sectors of n_a + sign * n_b on the grid (sign +1 or -1),
+    one row each: the (n_a, n_b) of its members, padded to d slots with
+    (0, 0), and the mask of real slots, which is a prefix of each row."""
+    row = np.arange(2 * d - 1)[:, None]
+    a = np.maximum(0, row - d + 1) + np.arange(d)
+    b = row - a if sign > 0 else a - row + d - 1
+    valid = (a < d) & (b >= 0) & (b < d)
+    table = (np.where(valid, a, 0), np.where(valid, b, 0), valid)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _spectrum(ent: np.ndarray, d: int, transposed: bool = False) -> np.ndarray:
+    """Eigenvalues of a grid matrix rho, or of its partial transpose, in no
+    global order.  When rho is block-diagonal in n_a + n_b or n_a - n_b, the
+    blocks of rho, or of its partial transpose in the other labelling, are
+    gathered straight from rho and solved in one stacked call; any other
+    matrix takes one dense solve."""
+    four = ent.reshape(d, d, d, d)  # [n_a, n_b, m_a, m_b]
+    nonzero = np.count_nonzero(ent)
+    for sign in (1, -1):  # rho block-diagonal in n_a + n_b, then in n_a - n_b
+        a, b, valid = _sectors(d, -sign if transposed else sign)
+        row_b, col_b = b[:, :, None], b[:, None, :]
+        if transposed:  # PT((a, b), (a', b')) = rho((a, b'), (a', b))
+            row_b, col_b = col_b, row_b
+        blocks = np.where(valid[:, :, None] & valid[:, None, :],
+                          four[a[:, :, None], row_b, a[:, None, :], col_b], 0)
+        if np.count_nonzero(blocks) == nonzero:
+            # pad the short blocks' diagonals above every eigenvalue, so the
+            # padding sorts last and each row's real slots hold its block's
+            pad_row, pad_slot = np.nonzero(~valid)
+            blocks[pad_row, pad_slot, pad_slot] = 1.0 + np.abs(blocks).sum()
+            return _eigvalsh(blocks)[valid]
+    return _eigvalsh(partial_transpose(ent) if transposed else ent)
 
 
 def make_pure_state(spec: StateSpec, cutoff: int) -> TwoModePureState:
@@ -228,7 +278,8 @@ def partial_transpose(rho) -> np.ndarray:
 
 def negativity(rho) -> float:
     """Sum of |negative eigenvalues| of the partially transposed matrix."""
-    evals = _eigvalsh(partial_transpose(rho))
+    ent, d = _as_entries(rho)
+    evals = _spectrum(ent, d, transposed=True)
     return float(-evals[evals < 0.0].sum())
 
 
@@ -277,7 +328,8 @@ def von_neumann_entropy(sigma: np.ndarray) -> MeasureValue:
 
 
 def purity(rho) -> MeasureValue:
-    """Tr(rho^2) as a real number in (0, 1]."""
+    """Tr(rho^2) = sum_ij rho_ij rho_ji as a real number in (0, 1]; O(d^4)
+    for a d^2 x d^2 grid matrix, against O(d^6) for the product rho @ rho."""
     ent, _ = _as_entries(rho)
-    val = float(np.trace(ent @ ent).real)
+    val = float(np.einsum("ij,ji->", ent, ent).real)
     return MeasureValue("purity", val)

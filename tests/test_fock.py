@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from coupledwg.damped import DampedParams, evolve_damped_exact
 from coupledwg.errors import CapacityError, ValidationError
 from coupledwg import fock
 from coupledwg.fock import (
@@ -31,6 +32,7 @@ from coupledwg.fock import (
     state_from_amplitudes,
     von_neumann_entropy,
 )
+from coupledwg.gaussian import two_mode_squeezed_state
 
 
 def bell_state():
@@ -267,3 +269,102 @@ def test_amplitudes_are_read_only():
     rho = TwoModeDensityMatrix.from_pure(st)
     with pytest.raises(ValueError):
         rho.entries[0, 0] = 0.0
+
+
+# ----------------------------------------------------- sector-wise eigensolves
+# Fock and NOON states stay block-diagonal in n_a + n_b under the coupler and
+# loss, the TMSV is block-diagonal in n_a - n_b, and the partial transpose
+# swaps the two labellings.  The sector path must reproduce the dense solve.
+
+
+@pytest.fixture
+def solved_widths(monkeypatch):
+    """Record the width (shape[-1]) of every numpy.linalg.eigvalsh call."""
+    widths = []
+    dense = np.linalg.eigvalsh
+
+    def recorder(mat, *args, **kwargs):
+        widths.append(mat.shape[-1])
+        return dense(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorder)
+    return widths
+
+
+def _damped_outputs():
+    for state in (noon_state(3, 3), noon_state(2, 4), fock_state(2, 1, 3), fock_state(1, 1, 2)):
+        rho = TwoModeDensityMatrix.from_pure(state)
+        for coupling in (0.5, 2.0):
+            for gamma in (0.0, 0.05, 0.5):
+                for t in (0.3, 1.7, 6.0):
+                    yield evolve_damped_exact(rho, DampedParams(0.2, coupling, gamma), t)
+
+
+def _tmsv(r, cutoff):
+    return TwoModeDensityMatrix.from_pure(two_mode_squeezed_state(r, cutoff))
+
+
+def _tmsv_after_coupler():
+    amps = {(n, n): math.tanh(0.5) ** n for n in range(4)}
+    rho = TwoModeDensityMatrix.from_pure(state_from_amplitudes(amps, 6))
+    return evolve_damped_exact(rho, DampedParams(0.0, 1.0, 0.05), math.pi / 4)
+
+
+def _with_off_sector_coherence():
+    rho = TwoModeDensityMatrix.from_pure(noon_state(2, 3))
+    ent = evolve_damped_exact(rho, DampedParams(0.0, 0.7, 0.05), 1.1).entries.copy()
+    ent[1, 5] = ent[5, 1] = 1e-300  # couples |0,1> to |1,1>, across both labellings
+    return TwoModeDensityMatrix(3, ent)
+
+
+def _assert_matches_dense(rho):
+    d = rho.cutoff + 1
+    ent = rho.entries
+    own = np.sort(fock._spectrum(ent, d))
+    assert np.abs(own - np.linalg.eigvalsh(ent)).max() <= 1e-12
+    dense_pt = np.linalg.eigvalsh(partial_transpose(ent))
+    pt = np.sort(fock._spectrum(ent, d, transposed=True))
+    assert np.abs(pt - dense_pt).max() <= 1e-12
+    assert abs(negativity(rho) - float(-dense_pt[dense_pt < 0.0].sum())) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["sum", "difference", "fallback"])
+def test_sector_spectrum_matches_dense_solve(kind, solved_widths):
+    if kind == "sum":
+        states = list(_damped_outputs())
+    elif kind == "difference":
+        states = [_tmsv(r, c) for c in (4, 7, 12, 20) for r in (0.3, 1.0)]
+    else:
+        states = [_tmsv_after_coupler(), _with_off_sector_coherence()]
+    for rho in states:
+        d = rho.cutoff + 1
+        solved_widths.clear()
+        _assert_matches_dense(rho)
+        assert set(solved_widths) == ({d * d} if kind == "fallback" else {d, d * d})
+
+
+def test_negative_eigenvalue_in_one_sector_is_rejected(solved_widths):
+    # the one-photon sector {|0,1>, |1,0>} holds eigenvalues 1.1 and -0.1
+    ent = np.zeros((9, 9))
+    ent[1, 1] = ent[3, 3] = 0.5
+    ent[1, 3] = ent[3, 1] = 0.6
+    with pytest.raises(ValidationError, match="eigenvalue"):
+        TwoModeDensityMatrix(2, ent)
+    assert max(solved_widths) <= 3
+
+
+def test_purity_matches_trace_of_square():
+    rng = np.random.default_rng(11)
+    states = list(_damped_outputs()) + [random_mixed(rng, 3, rank=5) for _ in range(5)]
+    for rho in states:
+        ent = rho.entries
+        assert abs(float(purity(rho)) - np.trace(ent @ ent).real) <= 1e-15
+
+
+def test_large_tmsv_never_takes_the_dense_solve(solved_widths):
+    rho = _tmsv(0.8, 40)
+    log_negativity(rho)
+    assert solved_widths and max(solved_widths) <= 41
+    solved_widths.clear()
+    _tmsv_after_coupler()  # validates a matrix that mixes the sectors
+    assert 7 * 7 in solved_widths
