@@ -233,6 +233,9 @@ def _run_thermal(cfg: RunConfig) -> None:
         raise UsageError("--sweep nbar sweeps equal occupations over its own "
                          f"grid and takes no --input, got {cfg.input_spec!r}")
     spec = _input_spec(cfg, StateSpec("thermal", (cfg.nbar, cfg.nbar)))
+    if spec.params[0] != spec.params[1]:
+        raise UsageError("the thermal entropy uses one occupation for both modes; "
+                         f"give equal nbar_a and nbar_b, got {cfg.input_spec!r}")
     occ = ThermalOccupation(*spec.params)
     if cfg.sweep == "jt":
         jt = np.linspace(0.0, cfg.coupling * cfg.t_max, cfg.steps + 1)

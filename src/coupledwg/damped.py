@@ -4,17 +4,23 @@ closed-form entanglement and purity expressions for that system.
 Propagation strategy: rotate to the coupler's normal modes (a balanced mode
 mixer in mode space), where the Hamiltonian splits into two free modes at
 frequencies omega -+ J and the equal-rate loss channels keep their product
-form; apply the exact single-mode photon-loss kernel to each rotated mode;
-rotate back.  Pure loss never raises photon number, so for inputs supported
-on the capacity region n_a + n_b <= cutoff the grid evolution matches the
-untruncated dynamics to machine precision.
+form; apply single-mode amplitude damping with the free phase to each
+rotated mode; rotate back.  The damping is the pure-loss case gamma_+ = 0 of
+the su(1,1) ordered form, whose number-basis kernel is then the Kraus
+channel A_k|n> = sqrt(C(n, k)) gamma_-^{k/2} sqrt(gamma_3)^{n-k} |n-k>
+(Chuang, Leung & Yamamoto, PRA 56, 1114, 1997), with the weights from
+loss_channel_factors.  Pure loss never raises photon number, so for inputs
+supported on the capacity region n_a + n_b <= cutoff the grid evolution
+matches the untruncated dynamics to machine precision.
 
-Cost model: per grid dimension, a table of every term of the kernel's
-triple sum (index, exponents, binomial weight) and the mode rotation are
-built once and cached.  Each call then does O(terms) numpy work per kernel
-(power tables, one gather-multiply, one bincount scatter) plus a few dense
-(d^2 x d^2) products, with d = cutoff + 1; the table holds about d^4/5
-terms (2926 at d = 11).
+Cost model: per grid dimension d = cutoff + 1, the mode rotation and an
+index table of the kernel's entries, one per (k, n, n') with k <= n, n'
+(about d^3/3), are built once and cached.  Each call fills the two
+(d^2 x d^2) kernels from a (d x d) amplitude table with one gather and
+does a few dense (d^2 x d^2) products.  Against a lab frame (the coupler
+unitary, then the same kernel without free phase on both modes) the
+normal-mode frame measured faster per call up to 6 photons and slower at
+8-10.
 """
 
 from __future__ import annotations
@@ -40,9 +46,8 @@ from .lossless import (
 
 TRACE_DEFICIT_LIMIT = 1e-10
 # Past this gamma t every entry but the vacuum population carries a factor
-# e^{-gamma t} below the smallest normal double, and e^{gamma t} in the
-# kernel overflows soon after (near 709.8): the channel is at its vacuum
-# limit.
+# e^{-gamma t} below the smallest normal double, and the ordered-form factors
+# overflow soon after (near 709.8): the channel is at its vacuum limit.
 VACUUM_LIMIT_GAMMA_T = -math.log(sys.float_info.min)
 
 
@@ -195,70 +200,38 @@ def mode_rotation(cutoff: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _KernelTerms:
-    """Every term of the number-basis kernel sum for one grid dimension, in
-    summation order, as read-only arrays; row_offset holds m - m' + dim - 1
-    for each kernel row, the index of its free phase."""
-
-    flat: np.ndarray         # row * dim^2 + col in the (dim^2, dim^2) kernel
-    minus_power: np.ndarray  # exponent of gamma_-
-    root_power: np.ndarray   # exponent of sqrt(gamma_3)
-    plus_power: np.ndarray   # exponent of gamma_+
-    coeff: np.ndarray        # t-independent binomial weight
-    row_offset: np.ndarray
-
-
 @lru_cache(maxsize=None)
-def _kernel_terms(dim: int) -> _KernelTerms:
-    # Source (M, M') reaches target (m, m') on the same coherence diagonal
-    # m - m' = M - M' through q annihilations and p creations per side.
-    columns = []
-    for m in range(dim):
-        for mp in range(dim):
-            row = m * dim + mp
-            for big in range(dim):
-                bigp = big - (m - mp)
-                if bigp < 0 or bigp >= dim:
-                    continue
-                for q in range(max(0, big - m), min(big, bigp) + 1):
-                    p = m - big + q
-                    coeff = math.sqrt(math.comb(big, q) * math.comb(bigp, q)
-                                      * math.comb(m, p) * math.comb(mp, p))
-                    columns.append((row * dim * dim + big * dim + bigp, q,
-                                    big + bigp - 2 * q + 1, p, coeff))
-    row_offset = (np.arange(dim)[:, None] - np.arange(dim)[None, :] + dim - 1).reshape(-1)
-    table = _KernelTerms(*(np.array(col) for col in zip(*columns)), row_offset)
-    for arr in vars(table).values():
+def _kraus_table(dim: int) -> tuple[np.ndarray, ...]:
+    # sqrt(C(n, k)) and the photons kept n - k (clipped at 0) as (k, n)
+    # arrays, then every (k, n, n') with k <= n, n': k photons lost on each
+    # side of |n><n'| land on |n-k><n'-k|, one kernel entry per triple
+    idx = np.arange(dim)
+    root_binom = np.sqrt([[math.comb(n, k) for n in range(dim)] for k in range(dim)])
+    kept = np.maximum(idx[None, :] - idx[:, None], 0)
+    k, n, n2 = np.nonzero((idx[:, None, None] <= idx[None, :, None])
+                          & (idx[:, None, None] <= idx[None, None, :]))
+    table = (root_binom, kept, k, n, n2, (n - k) * dim + n2 - k, n * dim + n2)
+    for arr in table:
         arr.setflags(write=False)
     return table
 
 
-def _powers(x: complex, count: int) -> np.ndarray:
-    # scalar ** keeps each power bit-identical to the term-by-term formula
-    return np.array([x ** k for k in range(count)], dtype=complex)
+def _branch_kernel(dim: int, freq: float, t: float,
+                   g3_root: complex, g_minus: complex) -> np.ndarray:
+    """Single-mode amplitude-damping channel with free rotation at freq, as a
+    (dim^2, dim^2) matrix over row-major vectorized operators.
 
-
-def _branch_kernel(dim: int, freq: float, gamma: float, t: float,
-                   g_plus: complex, g3_root: complex, g_minus: complex) -> np.ndarray:
-    """Single-mode channel on number-basis matrix units, as a (dim^2, dim^2)
-    matrix over row-major vectorized operators.
-
-    Entries connect source (M, M') to target (m, m') on the same coherence
-    diagonal m - m' = M - M'.  The free phase e^{-i freq t (m - m')} and the
-    scalar e^{gamma t} from normal-ordering the loss generator are folded in.
-    Terms are summed per entry in the order of the cached table.
+    Kraus form (Chuang, Leung & Yamamoto, PRA 56, 1114, 1997):
+    A_k|n> = sqrt(C(n, k)) gamma_-^{k/2} (sqrt(gamma_3) e^{-i freq t})^{n-k}
+    |n-k>, with the free phase folded into sqrt(gamma_3).  The entry from
+    source |n><n'| to target |n-k><n'-k| is amp[k, n] conj(amp[k, n']).
     """
-    terms = _kernel_terms(dim)
-    vals = (terms.coeff * _powers(g_minus, dim)[terms.minus_power]
-            * _powers(g3_root, 2 * dim)[terms.root_power]
-            * _powers(g_plus, dim)[terms.plus_power])
-    size = dim ** 4
-    acc = (np.bincount(terms.flat, vals.real, size)
-           + 1j * np.bincount(terms.flat, vals.imag, size)).reshape(dim * dim, dim * dim)
-    scale = cmath.exp(gamma * t)
-    phase = np.array([scale * cmath.exp(-1j * freq * t * s) for s in range(1 - dim, dim)])
-    return phase[terms.row_offset][:, None] * acc
+    root_binom, kept, k, n, n2, target, source = _kraus_table(dim)
+    amp = (root_binom * cmath.sqrt(g_minus) ** np.arange(dim)[:, None]
+           * (g3_root * cmath.exp(-1j * freq * t)) ** kept)
+    kern = np.zeros((dim * dim, dim * dim), dtype=complex)
+    kern[target, source] = amp[k, n] * amp[k, n2].conj()
+    return kern
 
 
 def _apply_mode_kernels(sigma: np.ndarray, kern_a: np.ndarray,
@@ -291,9 +264,9 @@ def evolve_damped_exact(rho: TwoModeDensityMatrix, p: DampedParams,
     u = mode_rotation(rho.cutoff)
     u_adj = u.conj().T
     sigma = u @ rho.entries @ u_adj
-    g_plus, g3_root, g_minus = loss_channel_factors(p.gamma, t)
-    kern_a = _branch_kernel(d, p.omega - p.J, p.gamma, t, g_plus, g3_root, g_minus)
-    kern_b = _branch_kernel(d, p.omega + p.J, p.gamma, t, g_plus, g3_root, g_minus)
+    _, g3_root, g_minus = loss_channel_factors(p.gamma, t)
+    kern_a = _branch_kernel(d, p.omega - p.J, t, g3_root, g_minus)
+    kern_b = _branch_kernel(d, p.omega + p.J, t, g3_root, g_minus)
     sigma_t = _apply_mode_kernels(sigma, kern_a, kern_b)
     rho_t = u_adj @ sigma_t @ u
     trace = float(np.trace(rho_t).real)

@@ -32,9 +32,10 @@ NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9  # eigenvalues above this are treated as rounding noise
-# rows per slice of the Hermiticity check: validating a large matrix then
-# allocates no full-size temporaries (a cutoff-40 matrix is 45 MB)
-_HERM_CHECK_ROWS = 256
+# block edge of the Hermiticity check, which compares block pairs (i, j) and
+# (j, i) for j >= i: validating a large matrix then allocates no full-size
+# temporaries (a cutoff-40 matrix is 45 MB) and reads rows contiguously
+_HERM_CHECK_BLOCK = 256
 
 _MEASURE_KINDS = ("entropy", "log_negativity", "negativity", "purity")
 
@@ -127,9 +128,9 @@ class TwoModeDensityMatrix:
         ent = np.array(self.entries, dtype=complex)
         if ent.shape != (d * d, d * d):
             raise ValidationError(f"entries must have shape {(d*d, d*d)}, got {ent.shape}")
-        rows = _HERM_CHECK_ROWS
-        herm = max(np.abs(ent[i:i + rows] - ent[:, i:i + rows].conj().T).max()
-                   for i in range(0, d * d, rows))
+        r = _HERM_CHECK_BLOCK
+        herm = max(np.abs(ent[i:i + r, j:j + r] - ent[j:j + r, i:i + r].conj().T).max()
+                   for i in range(0, d * d, r) for j in range(i, d * d, r))
         if herm > HERM_TOL:
             raise ValidationError(f"Hermiticity violated by {herm:.3e}")
         tr = ent.trace()

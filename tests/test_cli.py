@@ -142,6 +142,7 @@ def test_compare_dump_states(tmp_path):
     ["compare", "--dt", "nan"],
     ["thermal", "--sweep", "nbar", "--nbar-max", "inf"],
     ["thermal", "--input", "thermal:1,2", "--sweep", "nbar", "--steps", "4"],
+    ["thermal", "--input", "thermal:1,2", "--steps", "4"],
 ])
 def test_usage_errors_exit_two(argv, tmp_path, capsys):
     assert main(argv + ["-o", str(tmp_path / "x.csv")]) == EXIT_USAGE

@@ -143,8 +143,9 @@ def test_disentangle_boundary_identities():
 
 
 def _loop_branch_kernel(dim, freq, gamma, t, g_plus, g3_root, g_minus):
-    # plain loop form of the single-mode kernel, kept as the reference for
-    # the vectorized damped._branch_kernel
+    # plain loop over the general ordered-form triple sum (q annihilations and
+    # p creations per side, scalar e^{gamma t}), kept as the referee for the
+    # amplitude-damping Kraus kernel damped._branch_kernel
     kern = np.zeros((dim * dim, dim * dim), dtype=complex)
     scale = cmath.exp(gamma * t)
     for m in range(dim):
@@ -168,15 +169,14 @@ def _loop_branch_kernel(dim, freq, gamma, t, g_plus, g3_root, g_minus):
 
 def test_branch_kernel_matches_loop_reference():
     for dim in range(1, 12):
-        cases = [(gamma, t, loss_channel_factors(gamma, t))
-                 for gamma in (0.0, 0.05, 0.1) for t in (0.0, 0.7, 3.0, 25.0)]
-        cases.append((0.05, 1.0, (0.5, 1.0, 0.0)))  # heating factors
-        for gamma, t, factors in cases:
-            for freq in (-0.5, 1.3):
-                want = _loop_branch_kernel(dim, freq, gamma, t, *factors)
-                got = damped._branch_kernel(dim, freq, gamma, t, *factors)
-                assert got.shape == want.shape
-                assert np.max(np.abs(got - want)) <= 1e-12
+        for gamma in (0.0, 0.05, 0.1, 1.0):
+            for t in (0.0, 0.7, 3.0, 25.0):
+                factors = loss_channel_factors(gamma, t)
+                for freq in (-0.5, 1.3):
+                    want = _loop_branch_kernel(dim, freq, gamma, t, *factors)
+                    got = damped._branch_kernel(dim, freq, t, *factors[1:])
+                    assert got.shape == want.shape
+                    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_cached_mode_rotation_is_read_only():
@@ -271,8 +271,10 @@ def test_corner_support_rejected():
 
 
 def test_truncation_error_on_heating_kernel(monkeypatch):
+    # gamma_- = 0.5 with sqrt(gamma_3) = 1 creates probability: the channel's
+    # trace on |n><n| is 1.5^n
     monkeypatch.setattr(damped, "loss_channel_factors",
-                        lambda gamma, t: (0.5, 1.0, 0.0))
+                        lambda gamma, t: (0.0, 1.0, 0.5))
     rho = TwoModeDensityMatrix.from_pure(fock_state(1, 0, 1))
     with pytest.raises(TruncationError) as info:
         evolve_damped_exact(rho, P, 1.0)

@@ -109,6 +109,11 @@ def test_density_matrix_must_be_hermitian():
     big[280, 270] = 1e-9
     with pytest.raises(ValidationError, match="Hermiticity"):
         TwoModeDensityMatrix(16, big)
+    # in an off-diagonal block pair
+    big[280, 270] = 0.0
+    big[280, 10] = 1e-9
+    with pytest.raises(ValidationError, match="Hermiticity"):
+        TwoModeDensityMatrix(16, big)
 
 
 def test_density_matrix_must_have_unit_trace():
