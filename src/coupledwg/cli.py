@@ -24,7 +24,7 @@ from .damped import (
     evolve_damped_exact,
     purity_closed,
 )
-from .errors import CoupledwgError, ToleranceExceeded
+from .errors import CoupledwgError, NumericalError, ToleranceExceeded
 from .fock import (
     StateSpec,
     TwoModeDensityMatrix,
@@ -73,7 +73,7 @@ def parse_state_spec(text: str) -> StateSpec:
         if kind == "thermal":
             a_s, b_s = rest.split(",")
             a, b = float(a_s), float(b_s)
-            if not (a >= 0.0 and b >= 0.0):
+            if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
                 raise ValueError
             return StateSpec("thermal", (a, b))
         if kind == "tmsv":
@@ -157,10 +157,10 @@ def _fmt(value: float) -> str:
 
 def write_csv(path: str | None, header: list, columns: list) -> None:
     """Write columns (equal-length 1-D arrays) as CSV; '-' or None = stdout.
-    The first column must be strictly increasing."""
+    The first column must be finite and strictly increasing."""
     first = np.asarray(columns[0], dtype=float)
-    if np.any(np.diff(first) <= 0.0):
-        raise CoupledwgError("first CSV column must be strictly increasing")
+    if not (np.isfinite(first).all() and np.all(np.diff(first) > 0.0)):
+        raise NumericalError("first CSV column must be finite and strictly increasing")
     if len(header) != len(columns):
         raise CoupledwgError("header/column count mismatch")
     lines = [",".join(header)]
@@ -220,9 +220,16 @@ def _run_lossless(cfg: RunConfig) -> None:
               [cfg.coupling * times, np.array(en), np.array(ent)])
 
 
+def _jt_grid(cfg: RunConfig) -> np.ndarray:
+    span = cfg.coupling * cfg.t_max
+    if not math.isfinite(span):
+        raise NumericalError(f"J * tmax = {span} overflows a float")
+    return np.linspace(0.0, span, cfg.steps + 1)
+
+
 def _run_noon(cfg: RunConfig) -> None:
     (total,) = _input_spec(cfg, StateSpec("noon", (cfg.total,))).params
-    jt = np.linspace(0.0, cfg.coupling * cfg.t_max, cfg.steps + 1)
+    jt = _jt_grid(cfg)
     en = np.array([float(noon_log_negativity(total, float(x))) for x in jt])
     ent = np.array([float(entropy_closed(total, float(x))) for x in jt])
     write_csv(cfg.output_path, ["Jt", "E_N", "S"], [jt, en, ent])
@@ -238,7 +245,7 @@ def _run_thermal(cfg: RunConfig) -> None:
                          f"give equal nbar_a and nbar_b, got {cfg.input_spec!r}")
     occ = ThermalOccupation(*spec.params)
     if cfg.sweep == "jt":
-        jt = np.linspace(0.0, cfg.coupling * cfg.t_max, cfg.steps + 1)
+        jt = _jt_grid(cfg)
         ent = np.array([float(thermal_entropy(cfg.total, float(x), occ, cfg.variant))
                         for x in jt])
         write_csv(cfg.output_path, ["Jt", "S"], [jt, ent])

@@ -226,6 +226,8 @@ def _branch_kernel(dim: int, freq: float, t: float,
     |n-k>, with the free phase folded into sqrt(gamma_3).  The entry from
     source |n><n'| to target |n-k><n'-k| is amp[k, n] conj(amp[k, n']).
     """
+    if not math.isfinite(freq * t):
+        raise NumericalError(f"free phase {freq:g} * t = {freq * t:g} overflows a float")
     root_binom, kept, k, n, n2, target, source = _kraus_table(dim)
     amp = (root_binom * cmath.sqrt(g_minus) ** np.arange(dim)[:, None]
            * (g3_root * cmath.exp(-1j * freq * t)) ** kept)
@@ -277,6 +279,7 @@ def evolve_damped_exact(rho: TwoModeDensityMatrix, p: DampedParams,
             f"{rho.cutoff}", tail_estimate=deficit)
     rho_t = rho_t / trace
     rho_t = 0.5 * (rho_t + rho_t.conj().T)
+    rho_t.setflags(write=False)  # fresh, so validation need not copy it
     return TwoModeDensityMatrix(rho.cutoff, rho_t)
 
 
@@ -330,6 +333,8 @@ def purity_closed(p: DampedParams, t: float, variant: str = "as-printed") -> Mea
     if t == 0.0 or p.gamma == 0.0:
         return MeasureValue("purity", 1.0)
     th = _theta(p, t)
+    if not cmath.isfinite(th):
+        raise NumericalError(f"(sqrt(2) gamma + i J) t = {th} overflows a float")
     if variant == "as-printed":
         mix = complex(p.gamma, p.J * t)
     else:

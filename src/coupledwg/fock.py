@@ -73,7 +73,7 @@ class MeasureValue:
             raise ValidationError(f"unknown measure kind {self.kind!r}")
         v = float(self.value)
         if self.kind in ("entropy", "log_negativity", "negativity"):
-            if v < -1e-9:
+            if not v >= -1e-9:  # NaN fails here too
                 raise ValidationError(f"{self.kind} must be >= 0, got {v}")
             v = max(v, 0.0)
         elif self.kind == "purity":
@@ -107,7 +107,7 @@ class TwoModePureState:
         if amps.shape != (d, d):
             raise ValidationError(f"amplitudes must have shape {(d, d)}, got {amps.shape}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # every gate here fails on NaN
             raise ValidationError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -118,26 +118,31 @@ class TwoModePureState:
 
 @dataclass(frozen=True)
 class TwoModeDensityMatrix:
-    """Validated density matrix on the two-mode grid (Hermitian, unit trace, PSD)."""
+    """Validated density matrix on the two-mode grid (Hermitian, unit trace, PSD).
+
+    A read-only complex array that no writeable array shares is kept as it
+    is; any other entries are copied, so the caller cannot change them."""
 
     cutoff: int
     entries: np.ndarray
 
     def __post_init__(self):
         d = self.cutoff + 1
-        ent = np.array(self.entries, dtype=complex)
+        ent = self.entries
+        if not (_sealed(ent) and ent.dtype == complex):
+            ent = np.array(ent, dtype=complex)
         if ent.shape != (d * d, d * d):
             raise ValidationError(f"entries must have shape {(d*d, d*d)}, got {ent.shape}")
         r = _HERM_CHECK_BLOCK
-        herm = max(np.abs(ent[i:i + r, j:j + r] - ent[j:j + r, i:i + r].conj().T).max()
-                   for i in range(0, d * d, r) for j in range(i, d * d, r))
-        if herm > HERM_TOL:
+        herm = np.max([np.abs(ent[i:i + r, j:j + r] - ent[j:j + r, i:i + r].conj().T).max()
+                       for i in range(0, d * d, r) for j in range(i, d * d, r)])
+        if not herm <= HERM_TOL:
             raise ValidationError(f"Hermiticity violated by {herm:.3e}")
         tr = ent.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValidationError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
         evals = _spectrum(ent, d)
-        if evals.min() < EIG_FLOOR:
+        if not evals.min() >= EIG_FLOOR:
             raise ValidationError(f"matrix has eigenvalue {evals.min():.3e} below {EIG_FLOOR}")
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
@@ -145,7 +150,19 @@ class TwoModeDensityMatrix:
     @classmethod
     def from_pure(cls, state: TwoModePureState) -> "TwoModeDensityMatrix":
         psi = state.flat()
-        return cls(state.cutoff, np.outer(psi, psi.conj()))
+        outer = np.outer(psi, psi.conj())
+        outer.setflags(write=False)  # handed over: validation keeps it uncopied
+        return cls(state.cutoff, outer)
+
+
+def _sealed(arr) -> bool:
+    """Whether arr is an array nothing can write to any more: it and every
+    array it views are read-only, down to one that owns its memory."""
+    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
+        if arr.base is None:
+            return True
+        arr = arr.base
+    return False
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
@@ -308,7 +325,7 @@ def reduced_state(rho, keep: str = "a") -> np.ndarray:
 
 
 def _clamped_probabilities(evals: np.ndarray) -> np.ndarray:
-    if evals.min() < EIG_FLOOR:
+    if not evals.min() >= EIG_FLOOR:
         raise ValidationError(f"eigenvalue {evals.min():.3e} below tolerance floor {EIG_FLOOR}")
     return np.clip(evals, 0.0, 1.0)
 

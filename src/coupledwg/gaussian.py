@@ -68,12 +68,15 @@ def symplectic_eigenvalues(state, partial_transposed: bool = False) -> tuple:
     branch flips the sign of the cross-block determinant."""
     cov = _as_covariance(state)
     alpha, beta, cross = _blocks(cov)
-    det_a = float(np.linalg.det(alpha))
-    det_b = float(np.linalg.det(beta))
-    det_c = float(np.linalg.det(cross))
-    det_v = float(np.linalg.det(cov))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        det_a = float(np.linalg.det(alpha))
+        det_b = float(np.linalg.det(beta))
+        det_c = float(np.linalg.det(cross))
+        det_v = float(np.linalg.det(cov))
     delta = det_a + det_b + (-2.0 * det_c if partial_transposed else 2.0 * det_c)
     disc = delta * delta - 4.0 * det_v
+    if not math.isfinite(disc):
+        raise NumericalError(f"symplectic invariants overflow a float (det {det_v:.3e})")
     scale = max(1.0, delta * delta, abs(det_v))
     if disc < DISCRIMINANT_FLOOR * scale:
         raise NumericalError(f"symplectic discriminant {disc:.3e} is negative")
@@ -125,11 +128,18 @@ def tmsv_covariance(r: float) -> np.ndarray:
     p-correlations positive)."""
     if not math.isfinite(r):
         raise ValidationError(f"r must be finite, got {r}")
-    ch, sh = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    ch, sh = _cosh_sinh_2r(r)
     return 0.5 * np.array([[ch, 0.0, -sh, 0.0],
                            [0.0, ch, 0.0, sh],
                            [-sh, 0.0, ch, 0.0],
                            [0.0, sh, 0.0, ch]])
+
+
+def _cosh_sinh_2r(r: float) -> tuple[float, float]:
+    try:
+        return math.cosh(2.0 * r), math.sinh(2.0 * r)
+    except OverflowError:
+        raise NumericalError(f"squeezing r = {r:g} overflows a float") from None
 
 
 def vacuum_covariance() -> np.ndarray:
@@ -147,8 +157,9 @@ def vacuum_evolved_covariance(p: DampedParams, t: float, r1: float, r2: float) -
     if t < 0.0:
         raise ValidationError(f"t must be >= 0, got {t}")
     decay = math.exp(-2.0 * p.gamma * t)
-    press = decay * (math.cosh(2.0 * r1) + math.cosh(2.0 * r2)) + 2.0 * (1.0 - decay)
-    shear = decay * (math.sinh(2.0 * r1) + math.sinh(2.0 * r2))
+    (ch1, sh1), (ch2, sh2) = _cosh_sinh_2r(r1), _cosh_sinh_2r(r2)
+    press = decay * (ch1 + ch2) + 2.0 * (1.0 - decay)
+    shear = decay * (sh1 + sh2)
     return 0.25 * np.array([[press, 0.0, -shear, 0.0],
                             [0.0, press, 0.0, shear],
                             [-shear, 0.0, press, 0.0],
@@ -164,6 +175,8 @@ def thermal_evolved_covariance(p: DampedParams, t: float, n1: float, n2: float,
     for name, val in (("n1", n1), ("n2", n2)):
         if not (math.isfinite(val) and val >= 0.0):
             raise ValidationError(f"{name} must be finite and >= 0, got {val}")
+    # first, so that its overflow check on cosh(2r) > cosh(r)^2 covers c, d, e, f
+    vacuum = vacuum_evolved_covariance(p, t, r1, r2)
     decay = math.exp(-2.0 * p.gamma * t)
     c = decay * (n1 * math.cosh(r1) ** 2 + n2 * math.sinh(r1) ** 2)
     d = decay * (n1 * math.sinh(r2) ** 2 + n2 * math.cosh(r2) ** 2)
@@ -173,7 +186,7 @@ def thermal_evolved_covariance(p: DampedParams, t: float, n1: float, n2: float,
                             [0.0, c, 0.0, f],
                             [-e, 0.0, d, 0.0],
                             [0.0, f, 0.0, d]])
-    return vacuum_evolved_covariance(p, t, r1, r2) + extra
+    return vacuum + extra
 
 
 def two_mode_squeezed_state(r: float, cutoff: int) -> TwoModePureState:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, NumericalError, ValidationError
 from .fock import (
     MeasureValue,
     TwoModeDensityMatrix,
@@ -65,6 +65,10 @@ def _sector_eigensystem(total: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sector_unitary(total: int, params: CouplerParams, t: float) -> np.ndarray:
+    # the sector's eigenvalues lie in [-total, total]
+    if not (math.isfinite(params.J * t * total) and math.isfinite(params.omega * total * t)):
+        raise NumericalError(f"coupler phases overflow a float at J t = {params.J * t:g}, "
+                             f"omega t = {params.omega * t:g}")
     lam, vec = _sector_eigensystem(total)
     phases = np.exp(-1j * params.J * t * lam)
     return np.exp(-1j * params.omega * total * t) * ((vec * phases) @ vec.T)
@@ -141,17 +145,23 @@ def su2_coefficients(total: int, jt: float) -> np.ndarray:
     if total < 0:
         raise ValidationError("total photon number must be non-negative")
     n = np.arange(total + 1)
-    binom = np.array([math.comb(total, int(k)) for k in n], dtype=float)
     s, c = math.sin(jt), math.cos(jt)
-    return (-1j) ** n * s ** n * c ** (total - n) * np.sqrt(binom)
+    return (-1j) ** n * s ** n * c ** (total - n) * np.sqrt(_binomials(total))
+
+
+def _binomials(total: int) -> np.ndarray:
+    """binom(N, n), n = 0..N, as floats; they overflow above N of about 1030."""
+    try:
+        return np.array([math.comb(total, k) for k in range(total + 1)], dtype=float)
+    except OverflowError:
+        raise NumericalError(f"binomial coefficients of N = {total} overflow a float") from None
 
 
 def _binomial_family(total: int, s2: float, c2: float) -> np.ndarray:
     """binom(N, n) s2^n c2^(N-n), n = 0..N: the photon split of |0, N> behind
     a rotation with sin^2 = s2 and cos^2 = c2."""
     n = np.arange(total + 1)
-    binom = np.array([math.comb(total, int(k)) for k in n], dtype=float)
-    return binom * s2 ** n * c2 ** (total - n)
+    return _binomials(total) * s2 ** n * c2 ** (total - n)
 
 
 def _binomial_weights(total: int, jt: float) -> np.ndarray:

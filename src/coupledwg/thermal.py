@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .fock import MeasureValue, entropy_bits
 from .lossless import _binomial_weights, _pt_spectrum
 
@@ -42,7 +42,11 @@ def thermal_weight(nbar: float, n: int) -> float:
         raise ValidationError(f"nbar must be >= 0, got {nbar}")
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
-    return nbar ** n / (nbar + 1.0) ** (n + 1)
+    try:  # math.pow raises on overflow for numpy scalars too
+        return math.pow(nbar, n) / math.pow(nbar + 1.0, n + 1)
+    except OverflowError:
+        raise NumericalError(f"occupation weight overflows a float at nbar={nbar:g}, "
+                             f"n={n}") from None
 
 
 def _occupation_weights(nbar: float, total: int) -> np.ndarray:

@@ -143,10 +143,33 @@ def test_compare_dump_states(tmp_path):
     ["thermal", "--sweep", "nbar", "--nbar-max", "inf"],
     ["thermal", "--input", "thermal:1,2", "--sweep", "nbar", "--steps", "4"],
     ["thermal", "--input", "thermal:1,2", "--steps", "4"],
+    ["thermal", "--input", "thermal:inf,inf", "--steps", "2"],
 ])
 def test_usage_errors_exit_two(argv, tmp_path, capsys):
     assert main(argv + ["-o", str(tmp_path / "x.csv")]) == EXIT_USAGE
     capsys.readouterr()
+
+
+# finite values whose arithmetic overflows a float: one typed line, exit 3
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["gaussian", "--r", "400", "--steps", "2"],
+    ["gaussian", "--input", "tmsv:400", "--steps", "2"],
+    ["thermal", "--nbar", "1e308", "--steps", "2"],
+    ["purity", "--J", "1e308", "--steps", "2"],
+    ["lossless", "--input", "noon:1", "--J", "1e308", "--steps", "2"],
+    ["gaussian", "--nbar", "1e308", "--steps", "2"],
+    ["gaussian", "--r", "300", "--steps", "2"],
+    ["lossless", "--tmax", "1e308", "--steps", "2"],
+    ["damped", "--input", "noon:1", "--omega", "1e308", "--steps", "2"],
+    ["compare", "--J", "1e308", "--steps", "2"],
+    ["noon", "--J", "1e308", "--steps", "2"],
+    ["thermal", "--sweep", "nbar", "--nbar-max", "1e308", "--steps", "2"],
+])
+def test_overflowing_values_exit_three(argv, tmp_path, capsys):
+    assert main(argv + ["-o", str(tmp_path / "x.csv")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -364,3 +364,11 @@ def test_propagator_is_deterministic():
     first = evolve_damped_exact(rho, P, 0.8)
     second = evolve_damped_exact(rho, P, 0.8)
     assert np.array_equal(first.entries, second.entries)
+
+
+def test_overflowing_phases_raise_typed_errors():
+    with pytest.raises(NumericalError):
+        purity_closed(DampedParams(0.0, 1e308, 0.05), 10.0)
+    rho = TwoModeDensityMatrix.from_pure(noon_state(1, 1))
+    with pytest.raises(NumericalError):
+        evolve_damped_exact(rho, DampedParams(1e308, 0.5, 0.05), 3.0)

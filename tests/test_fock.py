@@ -7,6 +7,7 @@ Schmidt-coefficient shortcut for pure-state log-negativity.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,58 @@ def test_density_matrix_must_be_hermitian():
     big[280, 10] = 1e-9
     with pytest.raises(ValidationError, match="Hermiticity"):
         TwoModeDensityMatrix(16, big)
+
+
+def test_pure_state_rejects_nan():
+    grid = np.zeros((2, 2), dtype=complex)
+    grid[0, 0] = 1.0
+    grid[1, 1] = np.nan
+    with pytest.raises(ValidationError):
+        TwoModePureState(1, grid)
+
+
+def test_density_matrix_rejects_nan_on_the_diagonal():
+    m = np.eye(4, dtype=complex) / 4
+    m[3, 3] = np.nan
+    with pytest.raises(ValidationError):
+        TwoModeDensityMatrix(1, m)
+
+
+def test_density_matrix_rejects_nan_in_an_off_diagonal_pair():
+    # in a later block pair, behind a finite residual from the first
+    big = np.eye(17 * 17, dtype=complex) / 17 ** 2
+    big[280, 10] = big[10, 280] = np.nan
+    with pytest.raises(ValidationError):
+        TwoModeDensityMatrix(16, big)
+
+
+def test_density_matrix_entries_cannot_change_behind_its_back():
+    m = np.eye(4, dtype=complex) / 4
+    rho = TwoModeDensityMatrix(1, m)
+    m[0, 0] = 7.0
+    assert rho.entries[0, 0] == 0.25
+    # a read-only view of writeable memory is copied as well
+    m[0, 0] = 0.25
+    view = m[:]
+    view.setflags(write=False)
+    rho = TwoModeDensityMatrix(1, view)
+    m[0, 0] = 7.0
+    assert rho.entries[0, 0] == 0.25
+    # a read-only array nothing else can write is kept as handed over
+    sealed = np.eye(4, dtype=complex) / 4
+    sealed.setflags(write=False)
+    assert TwoModeDensityMatrix(1, sealed).entries is sealed
+
+
+def test_from_pure_holds_one_matrix():
+    state = two_mode_squeezed_state(0.8, 40)
+    tracemalloc.start()
+    try:
+        rho = TwoModeDensityMatrix.from_pure(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * rho.entries.nbytes
 
 
 def test_density_matrix_must_have_unit_trace():

@@ -201,3 +201,15 @@ def test_validation_errors():
         tmsv_covariance(math.nan)
     with pytest.raises(ValidationError):
         symplectic_eigenvalues(np.eye(5))
+
+
+def test_overflow_raises_typed_errors():
+    with pytest.raises(NumericalError):
+        tmsv_covariance(400.0)
+    with pytest.raises(NumericalError):
+        thermal_evolved_covariance(P, 1.0, 0.0, 0.0, 400.0, 400.0)
+    # invariants that overflow are refused, not read as E_N = 0
+    for cov in (thermal_evolved_covariance(P, 1.0, 1e308, 1e308, 0.25, 0.25),
+                vacuum_evolved_covariance(P, 1.0, 300.0, 300.0)):
+        with pytest.raises(NumericalError):
+            log_negativity_gaussian(cov)

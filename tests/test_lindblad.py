@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coupledwg import lindblad
 from coupledwg.damped import DampedParams, evolve_damped_exact
 from coupledwg.errors import IntegrationError, ValidationError
 from coupledwg.fock import TwoModeDensityMatrix, fock_state, noon_state, purity
@@ -31,6 +32,8 @@ def test_config_validation():
         IntegratorConfig(dt=0.01, t_max=0.0)
     with pytest.raises(ValidationError):
         IntegratorConfig(dt=0.01, t_max=1.0, cutoff=-1)
+    with pytest.raises(ValidationError, match="steps"):
+        IntegratorConfig(dt=1e-320, t_max=10.0)
 
 
 def test_cutoff_guard():
@@ -43,6 +46,41 @@ def test_default_dt_tracks_fastest_rate():
     assert default_dt(DampedParams(0.0, 0.5, 0.05)) == 0.01
     assert default_dt(DampedParams(0.0, 4.0, 0.05)) == 0.0025
     assert default_dt(DampedParams(8.0, 0.5, 0.05)) == 0.00125
+
+
+def _reference_apply(rho_mat, cutoff, p):
+    # the apply before the Lindblad form: -i [H, rho] plus, per mode, the
+    # dissipator gamma (2 L rho L^dag - n rho - rho n) with n = L^dag L
+    d = cutoff + 1
+    low = np.zeros((d, d))
+    for n in range(1, d):
+        low[n - 1, n] = math.sqrt(n)
+    a = np.kron(low, np.eye(d))
+    b = np.kron(np.eye(d), low)
+    num_a, num_b = a.T @ a, b.T @ b
+    ham = p.omega * (num_a + num_b) + p.J * (a.T @ b + b.T @ a)
+    out = -1j * (ham @ rho_mat - rho_mat @ ham)
+    if p.gamma != 0.0:
+        for op, num in ((a, num_a), (b, num_b)):
+            out += p.gamma * (2.0 * (op @ rho_mat @ op.conj().T)
+                              - num @ rho_mat - rho_mat @ num)
+    return out
+
+
+def test_lindblad_form_matches_reference_apply():
+    rng = np.random.default_rng(8)
+    for cutoff in range(7):
+        d2 = (cutoff + 1) ** 2
+        for omega in (0.0, 0.3):
+            for coupling in (0.5, 2.0):
+                for gamma in (0.0, 0.05, 1.0):
+                    p = DampedParams(omega, coupling, gamma)
+                    raw = rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2))
+                    raw /= np.linalg.norm(raw)
+                    for mat in (0.5 * (raw + raw.conj().T), raw):
+                        gap = np.abs(liouvillian_apply(mat, cutoff, p)
+                                     - _reference_apply(mat, cutoff, p)).max()
+                        assert gap <= 1e-13, (cutoff, p)
 
 
 def test_rhs_is_traceless():
@@ -138,6 +176,21 @@ def test_unstable_step_raises():
     cfg = IntegratorConfig(dt=0.5, t_max=3.0)
     with pytest.raises(IntegrationError):
         integrate(dm(fock_state(1, 1, 2)), p, cfg)
+
+
+def test_nan_state_trips_the_trace_gate(monkeypatch):
+    monkeypatch.setattr(lindblad, "liouvillian_apply",
+                        lambda rho_mat, cutoff, p: np.full_like(rho_mat, np.nan))
+    with pytest.raises(IntegrationError, match="trace"):
+        integrate(dm(fock_state(1, 0, 1)), DampedParams(0.0, 1.0, 0.1),
+                  IntegratorConfig(dt=0.01, t_max=0.1))
+
+
+def test_samples_are_read_only():
+    traj = integrate(dm(fock_state(1, 0, 1)), DampedParams(0.0, 1.0, 0.1),
+                     IntegratorConfig(dt=0.01, t_max=0.1))
+    for state in traj.states:
+        assert not state.flags.writeable
 
 
 def test_diagnostics_recorded():

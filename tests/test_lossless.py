@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from coupledwg.errors import CapacityError, ValidationError
+from coupledwg.errors import CapacityError, NumericalError, ValidationError
 from coupledwg.fock import (
     TwoModeDensityMatrix,
     fock_state,
@@ -254,3 +254,17 @@ def test_evolution_is_deterministic():
     a = evolve_lossless(st, p, 0.83).amplitudes
     b = evolve_lossless(st, p, 0.83).amplitudes
     assert np.array_equal(a, b)
+
+
+def test_overflowing_binomials_raise_typed_error():
+    # binom(2000, 1000) is about 2e600, past the largest float
+    assert math.isfinite(float(entropy_closed(1000, 0.3)))
+    with pytest.raises(NumericalError, match="N = 2000"):
+        entropy_closed(2000, 0.3)
+    with pytest.raises(NumericalError):
+        su2_coefficients(2000, 0.3)
+
+
+def test_overflowing_coupler_phase_raises_typed_error():
+    with pytest.raises(NumericalError, match="phases"):
+        evolve_lossless(noon_state(1, 1), CouplerParams(0.0, 1e308), 3.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coupledwg.errors import ValidationError
+from coupledwg.errors import NumericalError, ValidationError
 from coupledwg.lossless import pt_spectrum_closed
 from coupledwg.thermal import (
     ThermalOccupation,
@@ -151,3 +151,9 @@ def test_bad_variant_rejected():
         thermal_entropy(2, QUARTER, occ, variant="renormalised")
     with pytest.raises(ValidationError):
         thermal_pt_spectrum(2, QUARTER, occ, variant="")
+
+
+def test_weight_overflow_raises_typed_error():
+    for nbar in (1e308, np.float64(1e308)):  # numpy scalars overflow quietly
+        with pytest.raises(NumericalError):
+            thermal_weight(nbar, 1)
