@@ -186,6 +186,15 @@ def _pure_reduced_entropy(state) -> float:
     return float(von_neumann_entropy(sigma))
 
 
+def _tabulate(path: str | None, first: str, grid: np.ndarray, scale: float,
+              names: list, row: Callable[[float], tuple]) -> None:
+    """Write one CSV line per grid point x: scale * x, then the measures
+    row(x) under the column names.  The first column is scaled after every
+    row is evaluated, so a measure's own overflow is the error reported."""
+    values = np.array([[float(v) for v in row(float(x))] for x in grid])
+    write_csv(path, [first, *names], [scale * grid, *values.T])
+
+
 def _input_spec(cfg: RunConfig, fallback: StateSpec | None = None) -> StateSpec:
     """The --input state, checked against the command's input kinds; with no
     --input, the fallback state the command's own flags describe."""
@@ -207,17 +216,8 @@ def _grid_state(cfg: RunConfig):
     return make_pure_state(spec, cutoff)
 
 
-def _run_lossless(cfg: RunConfig) -> None:
-    state = _grid_state(cfg)
-    params = CouplerParams(cfg.omega, cfg.coupling)
-    times = np.linspace(0.0, cfg.t_max, cfg.steps + 1)
-    en, ent = [], []
-    for t in times:
-        evolved = evolve_lossless(state, params, float(t))
-        en.append(float(pure_log_negativity(evolved)))
-        ent.append(_pure_reduced_entropy(evolved))
-    write_csv(cfg.output_path, ["Jt", "E_N", "S"],
-              [cfg.coupling * times, np.array(en), np.array(ent)])
+def _times(cfg: RunConfig) -> np.ndarray:
+    return np.linspace(0.0, cfg.t_max, cfg.steps + 1)
 
 
 def _jt_grid(cfg: RunConfig) -> np.ndarray:
@@ -227,12 +227,30 @@ def _jt_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.0, span, cfg.steps + 1)
 
 
+def _tmsv_en(p: DampedParams, t: float, nbar: float, r: float):
+    # the Gaussian route: E_N of the TMSV r seeded with nbar in both modes
+    return log_negativity_gaussian(thermal_evolved_covariance(p, t, nbar, nbar, r, r))
+
+
+def _run_lossless(cfg: RunConfig) -> None:
+    state = _grid_state(cfg)
+    params = CouplerParams(cfg.omega, cfg.coupling)
+
+    def row(t):
+        evolved = evolve_lossless(state, params, t)
+        return pure_log_negativity(evolved), _pure_reduced_entropy(evolved)
+    _tabulate(cfg.output_path, "Jt", _times(cfg), cfg.coupling, ["E_N", "S"], row)
+
+
 def _run_noon(cfg: RunConfig) -> None:
     (total,) = _input_spec(cfg, StateSpec("noon", (cfg.total,))).params
-    jt = _jt_grid(cfg)
-    en = np.array([float(noon_log_negativity(total, float(x))) for x in jt])
-    ent = np.array([float(entropy_closed(total, float(x))) for x in jt])
-    write_csv(cfg.output_path, ["Jt", "E_N", "S"], [jt, en, ent])
+
+    def row(jt):
+        # S first: its binomial table refuses a large N before the N00N
+        # eigensolve would spend seconds on it
+        ent = entropy_closed(total, jt)
+        return noon_log_negativity(total, jt), ent
+    _tabulate(cfg.output_path, "Jt", _jt_grid(cfg), 1.0, ["E_N", "S"], row)
 
 
 def _run_thermal(cfg: RunConfig) -> None:
@@ -245,48 +263,39 @@ def _run_thermal(cfg: RunConfig) -> None:
                          f"give equal nbar_a and nbar_b, got {cfg.input_spec!r}")
     occ = ThermalOccupation(*spec.params)
     if cfg.sweep == "jt":
-        jt = _jt_grid(cfg)
-        ent = np.array([float(thermal_entropy(cfg.total, float(x), occ, cfg.variant))
-                        for x in jt])
-        write_csv(cfg.output_path, ["Jt", "S"], [jt, ent])
+        _tabulate(cfg.output_path, "Jt", _jt_grid(cfg), 1.0, ["S"],
+                  lambda jt: [thermal_entropy(cfg.total, jt, occ, cfg.variant)])
     else:
-        grid = np.linspace(0.0, cfg.nbar_max, cfg.steps + 1)
-        ent = np.array([float(thermal_entropy(cfg.total, cfg.jt_fixed,
-                                              ThermalOccupation(nb, nb), cfg.variant))
-                        for nb in grid])
-        write_csv(cfg.output_path, ["nbar", "S"], [grid, ent])
+        _tabulate(cfg.output_path, "nbar", np.linspace(0.0, cfg.nbar_max, cfg.steps + 1),
+                  1.0, ["S"], lambda nb: [thermal_entropy(
+                      cfg.total, cfg.jt_fixed, ThermalOccupation(nb, nb), cfg.variant)])
 
 
 def _run_damped(cfg: RunConfig) -> None:
-    state = _grid_state(cfg)
-    rho = TwoModeDensityMatrix.from_pure(state)
+    rho = TwoModeDensityMatrix.from_pure(_grid_state(cfg))
     p = DampedParams(cfg.omega, cfg.coupling, cfg.gamma)
-    times = np.linspace(0.0, cfg.t_max, cfg.steps + 1)
-    en, ent, pur = [], [], []
-    for t in times:
-        out = evolve_damped_exact(rho, p, float(t))
-        en.append(float(log_negativity(out)))
-        ent.append(float(von_neumann_entropy(reduced_state(out))))
-        pur.append(float(purity(out)))
-    write_csv(cfg.output_path, ["Jt", "E_N", "S", "purity"],
-              [cfg.coupling * times, np.array(en), np.array(ent), np.array(pur)])
+    held = [rho]
+
+    def row(t):
+        # the previous state stays referenced while the next is evolved: with
+        # every (d^2 x d^2) array freed between rows, glibc trims the heap top
+        # and the next row faults it back in, about 30% slower at cutoff 10
+        held[0] = out = evolve_damped_exact(rho, p, t)
+        return log_negativity(out), von_neumann_entropy(reduced_state(out)), purity(out)
+    _tabulate(cfg.output_path, "Jt", _times(cfg), cfg.coupling, ["E_N", "S", "purity"], row)
 
 
 def _run_gaussian(cfg: RunConfig) -> None:
     (r,) = _input_spec(cfg, StateSpec("tmsv", (cfg.squeeze,))).params
     p = DampedParams(cfg.omega, cfg.coupling, cfg.gamma)
-    times = np.linspace(0.0, cfg.t_max, cfg.steps + 1)
-    en = np.array([float(log_negativity_gaussian(
-        thermal_evolved_covariance(p, float(t), cfg.nbar, cfg.nbar, r, r)))
-        for t in times])
-    write_csv(cfg.output_path, ["Jt", "E_N"], [cfg.coupling * times, en])
+    _tabulate(cfg.output_path, "Jt", _times(cfg), cfg.coupling, ["E_N"],
+              lambda t: [_tmsv_en(p, t, cfg.nbar, r)])
 
 
 def _run_purity(cfg: RunConfig) -> None:
     p = DampedParams(cfg.omega, cfg.coupling, cfg.gamma)
-    times = np.linspace(0.0, cfg.t_max, cfg.steps + 1)
-    pur = np.array([float(purity_closed(p, float(t), cfg.variant)) for t in times])
-    write_csv(cfg.output_path, ["Jt", "purity"], [cfg.coupling * times, pur])
+    _tabulate(cfg.output_path, "Jt", _times(cfg), cfg.coupling, ["purity"],
+              lambda t: [purity_closed(p, t, cfg.variant)])
 
 
 def _run_compare(cfg: RunConfig) -> None:
@@ -296,7 +305,7 @@ def _run_compare(cfg: RunConfig) -> None:
     # half the library suggestion: the positivity gate on long runs needs the
     # extra fourth-order margin
     step = cfg.dt if cfg.dt is not None else 0.5 * default_dt(p)
-    times = np.linspace(0.0, cfg.t_max, cfg.steps + 1)
+    times = _times(cfg)
     trajectory = integrate(rho, p, IntegratorConfig(dt=step, t_max=cfg.t_max),
                            sample_times=times)
     closed = [evolve_damped_exact(rho, p, float(t)) for t in times]
@@ -327,145 +336,95 @@ def _dump_oracle_states(path: str, trajectory) -> None:
 
 
 # --- figure reproduction -----------------------------------------------------
+# Each panel is a grid and its curves (column name -> value at a grid point).
+# The curves call the library through this module's names at run time.
 
-def _lossless_en_curve(spec: StateSpec, jt: np.ndarray) -> np.ndarray:
-    state = make_pure_state(spec, spec.photons_needed())
-    params = CouplerParams(0.0, 1.0)
-    return np.array([float(pure_log_negativity(evolve_lossless(state, params, float(x))))
-                     for x in jt])
-
-
-def _fig_1a():
-    jt = np.linspace(0.0, math.pi, 401)
-    return (["Jt", "EN_11", "EN_20"],
-            [jt,
-             _lossless_en_curve(StateSpec("fock", (1, 1)), jt),
-             _lossless_en_curve(StateSpec("fock", (2, 0)), jt)])
+class _Figure(NamedTuple):
+    first: str  # name of the first column
+    grid: np.ndarray
+    curves: dict
+    scale: float = 1.0  # the first column prints scale * grid
 
 
-def _fig_1b():
-    jt = np.linspace(0.0, math.pi, 401)
-    cols = [_lossless_en_curve(StateSpec("fock", pair), jt)
-            for pair in ((2, 2), (3, 1), (4, 0))]
-    return ["Jt", "EN_22", "EN_31", "EN_40"], [jt] + cols
+def _lossless_en(na: int, nb: int):
+    # E_N of |na, nb> through the coupler at omega = 0, J = 1, so t = Jt
+    spec = StateSpec("fock", (na, nb))
+    state, params = make_pure_state(spec, spec.photons_needed()), CouplerParams(0.0, 1.0)
+    return lambda jt: pure_log_negativity(evolve_lossless(state, params, jt))
 
 
-def _fig_1c():
-    jt = np.linspace(0.0, math.pi, 401)
-    cols = [np.array([float(noon_log_negativity(n, float(x))) for x in jt])
-            for n in (2, 3, 4, 5)]
-    return ["Jt", "EN_N2", "EN_N3", "EN_N4", "EN_N5"], [jt] + cols
+def _thermal_vs_jt(total: int, nbar: float):
+    occ = ThermalOccupation(nbar, nbar)
+    return lambda jt: thermal_entropy(total, jt, occ)
 
 
-def _fig_1d():
-    jt = np.linspace(0.0, math.pi, 401)
-    cols = [np.array([float(entropy_closed(n, float(x))) for x in jt])
-            for n in (2, 3, 4, 5)]
-    return ["Jt", "S_N2", "S_N3", "S_N4", "S_N5"], [jt] + cols
+def _thermal_vs_nbar(total: int, jt: float):
+    return lambda nbar: thermal_entropy(total, jt, ThermalOccupation(nbar, nbar))
 
 
+def _damped_s(total: int, gamma: float):
+    p = DampedParams(0.0, 0.5, gamma)
+    return lambda jt: damped_entropy(total, p, jt / p.J)
+
+
+def _tmsv_vs_t(gamma: float):
+    # E_N of the r = 0.25 TMSV at J = 0.5 and nbar = 0 against t
+    p = DampedParams(0.0, 0.5, gamma)
+    return lambda t: _tmsv_en(p, t, 0.0, 0.25)
+
+
+def _tmsv_vs_nbar(r: float):
+    # E_N of the TMSV r at J = 0.5, gamma = 0.05 and t = 1 against nbar
+    p = DampedParams(0.0, 0.5, 0.05)
+    return lambda nbar: _tmsv_en(p, 1.0, nbar, r)
+
+
+def _purity_vs_t(coupling: float, gamma: float):
+    p = DampedParams(0.0, coupling, gamma)
+    return lambda t: purity_closed(p, t)
+
+
+_FIG1_JT = np.linspace(0.0, math.pi, 401)
+_FIG2_JT = np.linspace(0.0, math.pi / 2, 201)
 _FIG2_NBARS = (0.0, 0.5, 1.0, 2.0, 5.0)
 _FIG2_JTS = (("pi8", math.pi / 8), ("pi4", math.pi / 4),
              ("3pi8", 3 * math.pi / 8), ("pi2", math.pi / 2))
-
-
-def _fig_2_vs_jt(total: int):
-    jt = np.linspace(0.0, math.pi / 2, 201)
-    header = ["Jt"] + [f"S_nbar{v:g}" for v in _FIG2_NBARS]
-    cols = [jt]
-    for v in _FIG2_NBARS:
-        occ = ThermalOccupation(v, v)
-        cols.append(np.array([float(thermal_entropy(total, float(x), occ)) for x in jt]))
-    return header, cols
-
-
-def _fig_2_vs_nbar(total: int):
-    grid = np.linspace(0.0, 8.0, 161)
-    header = ["nbar"] + [f"S_{name}" for name, _ in _FIG2_JTS]
-    cols = [grid]
-    for _, jt in _FIG2_JTS:
-        cols.append(np.array([float(thermal_entropy(total, jt, ThermalOccupation(v, v)))
-                              for v in grid]))
-    return header, cols
-
-
-def _fig_2_grid(total: int):
-    # wide layout for the surface plots: rows sweep nbar, columns sweep Jt
-    grid = np.linspace(0.0, 8.0, 65)
-    jts = np.linspace(0.0, math.pi / 2, 33)
-    header = ["nbar"] + [f"S_jt{x:.6g}" for x in jts]
-    cols = [grid]
-    for jt in jts:
-        cols.append(np.array([float(thermal_entropy(total, float(jt),
-                                                    ThermalOccupation(v, v)))
-                              for v in grid]))
-    return header, cols
-
-
-def _fig_3(gamma: float):
-    coupling = 0.5
-    jt = np.linspace(0.0, math.pi, 201)
-    p = DampedParams(0.0, coupling, gamma)
-    cols = [np.array([float(damped_entropy(n, p, float(x) / coupling)) for x in jt])
-            for n in (2, 4)]
-    return ["Jt", "S_N2", "S_N4"], [jt] + cols
-
-
-def _fig_4a():
-    coupling, r = 0.5, 0.25
-    times = np.linspace(0.0, 10.0, 201)
-    p = DampedParams(0.0, coupling, 0.0)
-    en = np.array([float(log_negativity_gaussian(
-        thermal_evolved_covariance(p, float(t), 0.0, 0.0, r, r))) for t in times])
-    return ["Jt", "E_N"], [coupling * times, en]
-
-
-def _fig_4b():
-    coupling, r = 0.5, 0.25
-    times = np.linspace(0.0, 10.0, 201)
-    header, cols = ["Jt"], [coupling * times]
-    for gamma in (0.02, 0.05, 0.1):
-        p = DampedParams(0.0, coupling, gamma)
-        header.append(f"EN_gamma{gamma:g}")
-        cols.append(np.array([float(log_negativity_gaussian(
-            thermal_evolved_covariance(p, float(t), 0.0, 0.0, r, r))) for t in times]))
-    return header, cols
-
-
-def _fig_5(coupling: float):
-    times = np.linspace(0.0, 20.0, 401)
-    header, cols = ["Jt"], [coupling * times]
-    for gamma in (0.01, 0.05, 0.1):
-        p = DampedParams(0.0, coupling, gamma)
-        header.append(f"P_gamma{gamma:g}")
-        cols.append(np.array([float(purity_closed(p, float(t))) for t in times]))
-    return header, cols
-
-
-def _fig_6():
-    coupling, gamma, t = 0.5, 0.05, 1.0
-    p = DampedParams(0.0, coupling, gamma)
-    grid = np.linspace(0.0, 8.0, 161)
-    header, cols = ["nbar"], [grid]
-    for r in (0.25, 0.5, 1.0, 1.5):
-        header.append(f"EN_r{r:g}")
-        cols.append(np.array([float(log_negativity_gaussian(
-            thermal_evolved_covariance(p, t, float(v), float(v), r, r)))
-            for v in grid]))
-    return header, cols
-
+# wide layout for the surface plots 2c and 2f: rows sweep nbar, columns sweep Jt
+_SURFACE_NBAR = np.linspace(0.0, 8.0, 65)
+_SURFACE_JTS = np.linspace(0.0, math.pi / 2, 33)
+_NBAR_GRID = np.linspace(0.0, 8.0, 161)
+_FIG4_TIMES = np.linspace(0.0, 10.0, 201)
+_FIG5_TIMES = np.linspace(0.0, 20.0, 401)
 
 FIGURES = {
-    "1a": _fig_1a, "1b": _fig_1b, "1c": _fig_1c, "1d": _fig_1d,
-    "2a": lambda: _fig_2_vs_jt(2), "2b": lambda: _fig_2_vs_nbar(2),
-    "2c": lambda: _fig_2_grid(2),
-    "2d": lambda: _fig_2_vs_jt(4), "2e": lambda: _fig_2_vs_nbar(4),
-    "2f": lambda: _fig_2_grid(4),
-    "3a": lambda: _fig_3(0.0), "3b": lambda: _fig_3(0.01),
-    "3c": lambda: _fig_3(0.03), "3d": lambda: _fig_3(0.05),
-    "4a": _fig_4a, "4b": _fig_4b,
-    "5a": lambda: _fig_5(3.0), "5b": lambda: _fig_5(0.25),
-    "6": _fig_6,
+    "1a": _Figure("Jt", _FIG1_JT, {"EN_11": _lossless_en(1, 1), "EN_20": _lossless_en(2, 0)}),
+    "1b": _Figure("Jt", _FIG1_JT, {f"EN_{na}{nb}": _lossless_en(na, nb)
+                                   for na, nb in ((2, 2), (3, 1), (4, 0))}),
+    "1c": _Figure("Jt", _FIG1_JT, {f"EN_N{n}": lambda jt, n=n: noon_log_negativity(n, jt)
+                                   for n in (2, 3, 4, 5)}),
+    "1d": _Figure("Jt", _FIG1_JT, {f"S_N{n}": lambda jt, n=n: entropy_closed(n, jt)
+                                   for n in (2, 3, 4, 5)}),
+    "2a": _Figure("Jt", _FIG2_JT, {f"S_nbar{v:g}": _thermal_vs_jt(2, v) for v in _FIG2_NBARS}),
+    "2b": _Figure("nbar", _NBAR_GRID, {f"S_{name}": _thermal_vs_nbar(2, jt)
+                                       for name, jt in _FIG2_JTS}),
+    "2c": _Figure("nbar", _SURFACE_NBAR, {f"S_jt{jt:.6g}": _thermal_vs_nbar(2, float(jt))
+                                          for jt in _SURFACE_JTS}),
+    "2d": _Figure("Jt", _FIG2_JT, {f"S_nbar{v:g}": _thermal_vs_jt(4, v) for v in _FIG2_NBARS}),
+    "2e": _Figure("nbar", _NBAR_GRID, {f"S_{name}": _thermal_vs_nbar(4, jt)
+                                       for name, jt in _FIG2_JTS}),
+    "2f": _Figure("nbar", _SURFACE_NBAR, {f"S_jt{jt:.6g}": _thermal_vs_nbar(4, float(jt))
+                                          for jt in _SURFACE_JTS}),
+    **{fid: _Figure("Jt", np.linspace(0.0, math.pi, 201),
+                    {f"S_N{n}": _damped_s(n, gamma) for n in (2, 4)})
+       for fid, gamma in (("3a", 0.0), ("3b", 0.01), ("3c", 0.03), ("3d", 0.05))},
+    "4a": _Figure("Jt", _FIG4_TIMES, {"E_N": _tmsv_vs_t(0.0)}, 0.5),
+    "4b": _Figure("Jt", _FIG4_TIMES, {f"EN_gamma{g:g}": _tmsv_vs_t(g)
+                                      for g in (0.02, 0.05, 0.1)}, 0.5),
+    **{fid: _Figure("Jt", _FIG5_TIMES, {f"P_gamma{g:g}": _purity_vs_t(coupling, g)
+                                        for g in (0.01, 0.05, 0.1)}, coupling)
+       for fid, coupling in (("5a", 3.0), ("5b", 0.25))},
+    "6": _Figure("nbar", _NBAR_GRID, {f"EN_r{r:g}": _tmsv_vs_nbar(r)
+                                      for r in (0.25, 0.5, 1.0, 1.5)}),
 }
 
 
@@ -473,9 +432,9 @@ def _run_figure(cfg: RunConfig) -> None:
     if cfg.figure_id not in FIGURES:
         raise UsageError(
             f"unknown figure id {cfg.figure_id!r}; known: {', '.join(sorted(FIGURES))}")
-    header, cols = FIGURES[cfg.figure_id]()
-    path = cfg.output_path or f"figure_{cfg.figure_id}.csv"
-    write_csv(path, header, cols)
+    first, grid, curves, scale = FIGURES[cfg.figure_id]
+    _tabulate(cfg.output_path or f"figure_{cfg.figure_id}.csv", first, grid, scale,
+              list(curves), lambda x: [curve(x) for curve in curves.values()])
 
 
 class _Command(NamedTuple):

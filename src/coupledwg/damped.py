@@ -41,7 +41,7 @@ from .lossless import (
     _binomial_family,
     _pt_spectrum,
     _require_capacity_support,
-    _sector_eigensystem,
+    _sector_unitary,
 )
 
 TRACE_DEFICIT_LIMIT = 1e-10
@@ -180,10 +180,9 @@ def loss_channel_factors(gamma: float, t: float) -> tuple[complex, complex, comp
 def _sector_rotation(total: int) -> np.ndarray:
     # exp(-(pi/4)(a^dag b - b^dag a)) restricted to one total-photon sector;
     # the phase gauge diag(i^n) turns the antisymmetric generator into the
-    # symmetric coupling matrix, whose eigensystem is already cached.
-    lam, vec = _sector_eigensystem(total)
+    # symmetric coupling matrix, so this is the coupler at Jt = pi/4 in that gauge.
     phase = np.array([1j ** n for n in range(total + 1)])
-    core = (vec * np.exp(-0.25j * math.pi * lam)) @ vec.T
+    core = _sector_unitary(total, CouplerParams(0.0, 1.0), math.pi / 4)
     u = phase.conj()[:, None] * core * phase[None, :]
     u.setflags(write=False)
     return u

@@ -150,7 +150,11 @@ class TwoModeDensityMatrix:
     @classmethod
     def from_pure(cls, state: TwoModePureState) -> "TwoModeDensityMatrix":
         psi = state.flat()
-        outer = np.outer(psi, psi.conj())
+        try:
+            outer = np.outer(psi, psi.conj())
+        except MemoryError:
+            raise NumericalError(f"the cutoff-{state.cutoff} density matrix ({psi.size}^2 "
+                                 "complex entries) does not fit in memory") from None
         outer.setflags(write=False)  # handed over: validation keeps it uncopied
         return cls(state.cutoff, outer)
 

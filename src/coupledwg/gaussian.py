@@ -10,8 +10,10 @@ along the coupler's normal modes.  Time enters only through the loss factor
 e^{-2 gamma t} and the coupler rotation is not applied, so at gamma = 0 every
 curve here is flat.  For other inputs this is not the dynamics: a two-mode
 squeezed vacuum (r = 0.25) behind a 50:50 coupler (J = 0.5, gamma = 0,
-t = pi/2) keeps E_N = 0.7213 here, while the exact Fock-grid propagator
-gives 2.0e-5.
+t = pi/2) keeps E_N = 0.7213 here, while the exact value is 0, a product of
+two single-mode squeezers.  The exact Fock-grid propagator, fed the TMSV
+restricted to n_a + n_b <= cutoff, gives 3.5e-3 at cutoff 8, 2.8e-4 at 12,
+2.0e-5 at 16, 1.4e-6 at 20 and 9.2e-8 at 24: grid truncation.
 """
 
 from __future__ import annotations

@@ -33,12 +33,10 @@ def default_dt(p: DampedParams) -> float:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integration settings.  cutoff, when given, must match the
-    initial state's grid (a guard against comparing different grids)."""
+    """Fixed-step integration settings."""
 
     dt: float
     t_max: float
-    cutoff: int | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0.0):
@@ -47,8 +45,6 @@ class IntegratorConfig:
             raise ValidationError(f"t_max must be finite and > 0, got {self.t_max}")
         if not math.isfinite(self.t_max / self.dt):
             raise ValidationError(f"t_max / dt = {self.t_max / self.dt} steps overflows a float")
-        if self.cutoff is not None and self.cutoff < 0:
-            raise ValidationError(f"cutoff must be >= 0, got {self.cutoff}")
 
 
 @lru_cache(maxsize=8)
@@ -109,9 +105,6 @@ def integrate(rho0: TwoModeDensityMatrix, p: DampedParams, config: IntegratorCon
     but the trace is never rescaled, so trace drift is a genuine error signal:
     every sample is checked for |trace - 1| <= 1e-9 and eigenvalues >= -1e-9.
     """
-    if config.cutoff is not None and config.cutoff != rho0.cutoff:
-        raise ValidationError(
-            f"config cutoff {config.cutoff} != state cutoff {rho0.cutoff}")
     if sample_times is None:
         times = np.linspace(0.0, config.t_max, 21)
     else:

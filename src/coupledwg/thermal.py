@@ -7,6 +7,13 @@ magnitudes, reweighted.  The weighted spectrum does not sum to one: the
 default "as-printed" variant evaluates it as it stands (this is what the
 reference curves show), while "normalized" rescales the diagonal family to a
 probability vector first.
+
+These are the paper's curve family, not the coupler's dynamics: a passive
+coupler never entangles classical inputs such as thermal states (Kim, Son,
+Buzek & Knight, PRA 65, 032323, 2002).  Two thermal inputs with equal nbar
+are even left unchanged (their joint state depends only on the total photon
+number), so each mode keeps its own entropy, 2.0 bits at nbar = 1, at every
+Jt, while these curves vary with Jt.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from coupledwg import cli
 from coupledwg.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -165,11 +167,22 @@ def test_usage_errors_exit_two(argv, tmp_path, capsys):
     ["compare", "--J", "1e308", "--steps", "2"],
     ["noon", "--J", "1e308", "--steps", "2"],
     ["thermal", "--sweep", "nbar", "--nbar-max", "1e308", "--steps", "2"],
+    ["damped", "--input", "noon:3", "--cutoff", "2000", "--steps", "2"],
 ])
 def test_overflowing_values_exit_three(argv, tmp_path, capsys):
     assert main(argv + ["-o", str(tmp_path / "x.csv")]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+def test_noon_refuses_large_n_before_the_noon_eigensolve(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "noon_log_negativity", lambda *args: calls.append(args) or 0.0)
+    code = main(["noon", "--N", "2000", "--steps", "2", "-o", str(tmp_path / "x.csv")])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert calls == []
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -379,3 +392,18 @@ def test_figure_csv_byte_identical_to_reference(figure_id, tmp_path):
     out = tmp_path / f"{figure_id}.csv"
     assert main(["figure", figure_id, "-o", str(out)]) == EXIT_OK
     assert out.read_bytes() == (_REF_FIGURES / f"{figure_id}.csv").read_bytes()
+
+
+_REF_DAMPED = _REF_FIGURES.parent / "damped"
+_DAMPED_MANIFEST = json.loads((_REF_DAMPED / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(_DAMPED_MANIFEST))
+def test_damped_csv_matches_reference(argv, tmp_path):
+    out = tmp_path / "damped.csv"
+    assert main(argv.split(" ") + ["-o", str(out)]) == EXIT_OK
+    header, rows = read_csv(out)
+    ref_header, ref_rows = read_csv(_REF_DAMPED / _DAMPED_MANIFEST[argv])
+    assert header == ref_header and rows.shape == ref_rows.shape
+    # the benchmark's tolerance: 1e-12 absolute plus 1e-9 relative
+    assert np.all(np.abs(rows - ref_rows) <= 1e-12 + 1e-9 * np.abs(ref_rows))

@@ -30,16 +30,8 @@ def test_config_validation():
         IntegratorConfig(dt=0.0, t_max=1.0)
     with pytest.raises(ValidationError):
         IntegratorConfig(dt=0.01, t_max=0.0)
-    with pytest.raises(ValidationError):
-        IntegratorConfig(dt=0.01, t_max=1.0, cutoff=-1)
     with pytest.raises(ValidationError, match="steps"):
         IntegratorConfig(dt=1e-320, t_max=10.0)
-
-
-def test_cutoff_guard():
-    cfg = IntegratorConfig(dt=0.01, t_max=0.1, cutoff=3)
-    with pytest.raises(ValidationError):
-        integrate(dm(fock_state(0, 0, 2)), DampedParams(0, 1, 0), cfg)
 
 
 def test_default_dt_tracks_fastest_rate():
