@@ -192,7 +192,11 @@ def _tabulate(path: str | None, first: str, grid: np.ndarray, scale: float,
     row(x) under the column names.  The first column is scaled after every
     row is evaluated, so a measure's own overflow is the error reported."""
     values = np.array([[float(v) for v in row(float(x))] for x in grid])
-    write_csv(path, [first, *names], [scale * grid, *values.T])
+    with np.errstate(over="ignore"):
+        scaled = scale * grid
+    if not np.isfinite(scaled).all():
+        raise NumericalError(f"column {first} = {scale:g} * {grid[-1]:g} overflows a float")
+    write_csv(path, [first, *names], [scaled, *values.T])
 
 
 def _input_spec(cfg: RunConfig, fallback: StateSpec | None = None) -> StateSpec:

@@ -1,26 +1,23 @@
 """Exact evolution of two coupled modes with equal photon loss, plus the
 closed-form entanglement and purity expressions for that system.
 
-Propagation strategy: rotate to the coupler's normal modes (a balanced mode
-mixer in mode space), where the Hamiltonian splits into two free modes at
-frequencies omega -+ J and the equal-rate loss channels keep their product
-form; apply single-mode amplitude damping with the free phase to each
-rotated mode; rotate back.  The damping is the pure-loss case gamma_+ = 0 of
-the su(1,1) ordered form, whose number-basis kernel is then the Kraus
-channel A_k|n> = sqrt(C(n, k)) gamma_-^{k/2} sqrt(gamma_3)^{n-k} |n-k>
-(Chuang, Leung & Yamamoto, PRA 56, 1114, 1997), with the weights from
+Propagation strategy: with equal loss rates the coupler and the loss
+commute, so rho(t) = (E x E)(U rho U^dag), with U the lossless coupler
+propagator (lossless_unitary, exact per photon sector) and E single-mode
+amplitude damping, the same on both modes.  E is the pure-loss case
+gamma_+ = 0 of the su(1,1) ordered form, whose number-basis kernel is then
+the Kraus channel A_k|n> = sqrt(C(n, k)) gamma_-^{k/2} sqrt(gamma_3)^{n-k}
+|n-k> (Chuang, Leung & Yamamoto, PRA 56, 1114, 1997), with the weights from
 loss_channel_factors.  Pure loss never raises photon number, so for inputs
 supported on the capacity region n_a + n_b <= cutoff the grid evolution
 matches the untruncated dynamics to machine precision.
 
-Cost model: per grid dimension d = cutoff + 1, the mode rotation and an
-index table of the kernel's entries, one per (k, n, n') with k <= n, n'
-(about d^3/3), are built once and cached.  Each call fills the two
-(d^2 x d^2) kernels from a (d x d) amplitude table with one gather and
-does a few dense (d^2 x d^2) products.  Against a lab frame (the coupler
-unitary, then the same kernel without free phase on both modes) the
-normal-mode frame measured faster per call up to 6 photons and slower at
-8-10.
+Cost model: per grid dimension d = cutoff + 1, the sector eigensystems and
+an index table of the kernel's entries, one per (k, n, n') with k <= n, n'
+(about d^3/3), are built once and cached.  Each call scatters the d sector
+blocks of U into one grid matrix, fills the (d^2 x d^2) kernel from a
+(d x d) amplitude table with one gather, and does four dense (d^2 x d^2)
+products.
 """
 
 from __future__ import annotations
@@ -42,6 +39,7 @@ from .lossless import (
     _pt_spectrum,
     _require_capacity_support,
     _sector_unitary,
+    lossless_unitary,
 )
 
 TRACE_DEFICIT_LIMIT = 1e-10
@@ -193,7 +191,8 @@ def mode_rotation(cutoff: int) -> np.ndarray:
     """Grid unitary of the balanced mode mixer taking a^dag b + b^dag a to
     n_b - n_a.  Corner sectors (total photon number above the cutoff) are left
     on the identity; capacity-supported states never reach them.  Built once
-    per cutoff; the returned array is shared and read-only."""
+    per cutoff; the returned array is shared and read-only.  The propagator
+    does not use this frame; a test builds a normal-mode reference from it."""
     out = _assemble_sectors(cutoff, _sector_rotation)
     out.setflags(write=False)
     return out
@@ -215,35 +214,29 @@ def _kraus_table(dim: int) -> tuple[np.ndarray, ...]:
     return table
 
 
-def _branch_kernel(dim: int, freq: float, t: float,
-                   g3_root: complex, g_minus: complex) -> np.ndarray:
-    """Single-mode amplitude-damping channel with free rotation at freq, as a
-    (dim^2, dim^2) matrix over row-major vectorized operators.
+def _loss_kernel(dim: int, g3_root: complex, g_minus: complex) -> np.ndarray:
+    """Single-mode amplitude-damping channel as a (dim^2, dim^2) matrix over
+    row-major vectorized operators.
 
     Kraus form (Chuang, Leung & Yamamoto, PRA 56, 1114, 1997):
-    A_k|n> = sqrt(C(n, k)) gamma_-^{k/2} (sqrt(gamma_3) e^{-i freq t})^{n-k}
-    |n-k>, with the free phase folded into sqrt(gamma_3).  The entry from
-    source |n><n'| to target |n-k><n'-k| is amp[k, n] conj(amp[k, n']).
+    A_k|n> = sqrt(C(n, k)) gamma_-^{k/2} sqrt(gamma_3)^{n-k} |n-k>.  The entry
+    from source |n><n'| to target |n-k><n'-k| is amp[k, n] conj(amp[k, n']).
     """
-    if not math.isfinite(freq * t):
-        raise NumericalError(f"free phase {freq:g} * t = {freq * t:g} overflows a float")
     root_binom, kept, k, n, n2, target, source = _kraus_table(dim)
-    amp = (root_binom * cmath.sqrt(g_minus) ** np.arange(dim)[:, None]
-           * (g3_root * cmath.exp(-1j * freq * t)) ** kept)
+    amp = root_binom * cmath.sqrt(g_minus) ** np.arange(dim)[:, None] * g3_root ** kept
     kern = np.zeros((dim * dim, dim * dim), dtype=complex)
     kern[target, source] = amp[k, n] * amp[k, n2].conj()
     return kern
 
 
-def _apply_mode_kernels(sigma: np.ndarray, kern_a: np.ndarray,
-                        kern_b: np.ndarray) -> np.ndarray:
-    """Apply independent single-mode kernels to the two slots of a grid
-    operator sigma[(ma, mb), (ma', mb')]."""
+def _apply_mode_kernel(sigma: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """Apply one single-mode kernel to both slots of a grid operator
+    sigma[(ma, mb), (ma', mb')]."""
     d2 = sigma.shape[0]
     d = int(round(math.sqrt(d2)))
     four = sigma.reshape(d, d, d, d)                    # [ma, mb, ma', mb']
     paired = four.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    paired = kern_a @ paired @ kern_b.T
+    paired = kern @ paired @ kern.T
     return paired.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2)
 
 
@@ -262,14 +255,10 @@ def evolve_damped_exact(rho: TwoModeDensityMatrix, p: DampedParams,
         vacuum = np.zeros_like(rho.entries)
         vacuum[0, 0] = 1.0
         return TwoModeDensityMatrix(rho.cutoff, vacuum)
-    u = mode_rotation(rho.cutoff)
-    u_adj = u.conj().T
-    sigma = u @ rho.entries @ u_adj
+    u = lossless_unitary(rho.cutoff, p.coupler(), t)
+    sigma = u @ rho.entries @ u.conj().T
     _, g3_root, g_minus = loss_channel_factors(p.gamma, t)
-    kern_a = _branch_kernel(d, p.omega - p.J, t, g3_root, g_minus)
-    kern_b = _branch_kernel(d, p.omega + p.J, t, g3_root, g_minus)
-    sigma_t = _apply_mode_kernels(sigma, kern_a, kern_b)
-    rho_t = u_adj @ sigma_t @ u
+    rho_t = _apply_mode_kernel(sigma, _loss_kernel(d, g3_root, g_minus))
     trace = float(np.trace(rho_t).real)
     deficit = abs(trace - 1.0)
     if deficit > TRACE_DEFICIT_LIMIT:

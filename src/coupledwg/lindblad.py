@@ -24,6 +24,7 @@ from .fock import TwoModeDensityMatrix, _as_entries, log_negativity, purity, \
 
 SAMPLE_TRACE_TOL = 1e-9
 SAMPLE_EIG_FLOOR = -1e-9
+MAX_RK4_STEPS = 10 ** 6  # about 5 minutes at cutoff 4; the workloads take a few thousand
 
 
 def default_dt(p: DampedParams) -> float:
@@ -43,8 +44,9 @@ class IntegratorConfig:
             raise ValidationError(f"dt must be finite and > 0, got {self.dt}")
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise ValidationError(f"t_max must be finite and > 0, got {self.t_max}")
-        if not math.isfinite(self.t_max / self.dt):
-            raise ValidationError(f"t_max / dt = {self.t_max / self.dt} steps overflows a float")
+        steps = self.t_max / self.dt
+        if not steps <= MAX_RK4_STEPS:  # written so that NaN fails too
+            raise ValidationError(f"t_max / dt = {steps:g} steps is over {MAX_RK4_STEPS}")
 
 
 @lru_cache(maxsize=8)

@@ -23,6 +23,7 @@ from .fock import (
     MeasureValue,
     TwoModeDensityMatrix,
     TwoModePureState,
+    _sectors,
     _total_photon_grid,
     entropy_bits,
     noon_state,
@@ -107,11 +108,12 @@ def _assemble_sectors(cutoff: int, block) -> np.ndarray:
     """Grid operator with block(total) on each photon sector that fits on the
     grid (total <= cutoff) and the identity on the corner sectors above it."""
     d = cutoff + 1
+    a, b, valid = _sectors(d, 1)
+    flat = a[:d] * d + b[:d]  # sectors 0..cutoff, members in n_a order
+    total, row, col = np.nonzero(valid[:d, :, None] & valid[:d, None, :])
     out = np.eye(d * d, dtype=complex)
-    for total in range(d):
-        na = np.arange(total + 1)
-        flat = na * d + (total - na)
-        out[np.ix_(flat, flat)] = block(total)
+    out[flat[total, row], flat[total, col]] = np.concatenate(
+        [block(n).ravel() for n in range(d)])
     return out
 
 

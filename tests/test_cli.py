@@ -168,6 +168,8 @@ def test_usage_errors_exit_two(argv, tmp_path, capsys):
     ["noon", "--J", "1e308", "--steps", "2"],
     ["thermal", "--sweep", "nbar", "--nbar-max", "1e308", "--steps", "2"],
     ["damped", "--input", "noon:3", "--cutoff", "2000", "--steps", "2"],
+    ["gaussian", "--J", "1e308", "--steps", "2"],
+    ["compare", "--J", "1e6"],
 ])
 def test_overflowing_values_exit_three(argv, tmp_path, capsys):
     assert main(argv + ["-o", str(tmp_path / "x.csv")]) == EXIT_NUMERICAL

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -142,10 +143,12 @@ def test_disentangle_boundary_identities():
     assert lossfree.gamma_3 == pytest.approx(cmath.exp(-2j * 0.8 * 1.7), abs=1e-12)
 
 
+@functools.lru_cache(maxsize=None)
 def _loop_branch_kernel(dim, freq, gamma, t, g_plus, g3_root, g_minus):
     # plain loop over the general ordered-form triple sum (q annihilations and
-    # p creations per side, scalar e^{gamma t}), kept as the referee for the
-    # amplitude-damping Kraus kernel damped._branch_kernel
+    # p creations per side, scalar e^{gamma t}) with a free rotation at freq,
+    # kept as the referee for the amplitude-damping Kraus kernel
+    # damped._loss_kernel (freq = 0) and for the normal-mode route below
     kern = np.zeros((dim * dim, dim * dim), dtype=complex)
     scale = cmath.exp(gamma * t)
     for m in range(dim):
@@ -167,16 +170,56 @@ def _loop_branch_kernel(dim, freq, gamma, t, g_plus, g3_root, g_minus):
     return kern
 
 
-def test_branch_kernel_matches_loop_reference():
+def test_loss_kernel_matches_loop_reference():
     for dim in range(1, 12):
         for gamma in (0.0, 0.05, 0.1, 1.0):
             for t in (0.0, 0.7, 3.0, 25.0):
                 factors = loss_channel_factors(gamma, t)
-                for freq in (-0.5, 1.3):
-                    want = _loop_branch_kernel(dim, freq, gamma, t, *factors)
-                    got = damped._branch_kernel(dim, freq, t, *factors[1:])
-                    assert got.shape == want.shape
-                    assert np.max(np.abs(got - want)) <= 1e-12
+                want = _loop_branch_kernel(dim, 0.0, gamma, t, *factors)
+                got = damped._loss_kernel(dim, *factors[1:])
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _normal_mode_route(rho, p, t):
+    # the coupler's normal modes are two free modes at omega -+ J with the
+    # same loss: rotate with mode_rotation, damp each rotated mode with its
+    # own free phase, rotate back
+    d = rho.cutoff + 1
+    u = mode_rotation(rho.cutoff)
+    sigma = (u @ rho.entries @ u.conj().T).reshape(d, d, d, d)
+    paired = sigma.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    factors = loss_channel_factors(p.gamma, t)
+    kern_a = _loop_branch_kernel(d, p.omega - p.J, p.gamma, t, *factors)
+    kern_b = _loop_branch_kernel(d, p.omega + p.J, p.gamma, t, *factors)
+    paired = kern_a @ paired @ kern_b.T
+    sigma = paired.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return u.conj().T @ sigma @ u
+
+
+def _grid_inputs():
+    tmsv = np.zeros((9, 9))
+    tmsv[np.arange(5), np.arange(5)] = 0.5 ** np.arange(5)
+    pure = [noon_state(1, 1), noon_state(2, 2), noon_state(6, 6), noon_state(10, 10),
+            fock_state(2, 1, 3), fock_state(3, 3, 6),
+            state_from_amplitudes({(0, 0): 1.0, (1, 2): 0.5j, (2, 0): -0.3,
+                                   (0, 1): 0.2}, 3),
+            state_from_amplitudes(tmsv / np.linalg.norm(tmsv), 8)]
+    rhos = [TwoModeDensityMatrix.from_pure(state) for state in pure]
+    mix = [TwoModeDensityMatrix.from_pure(state).entries for state in (
+        fock_state(1, 1, 3), state_from_amplitudes({(0, 2): 1.0, (1, 0): 0.4}, 3))]
+    return rhos + [TwoModeDensityMatrix(3, 0.6 * mix[0] + 0.4 * mix[1])]
+
+
+def test_propagator_matches_normal_mode_route():
+    for rho in _grid_inputs():
+        for omega, coupling in ((0.0, 0.5), (0.7, 1.3)):
+            for gamma in (0.0, 0.05, 0.3, 1.0):
+                for t in (0.4, 2.5, 5.0, 40.0):
+                    p = DampedParams(omega, coupling, gamma)
+                    got = evolve_damped_exact(rho, p, t).entries
+                    want = _normal_mode_route(rho, p, t)
+                    assert np.max(np.abs(got - want)) <= 1e-12, (rho.cutoff, p, t)
 
 
 def test_cached_mode_rotation_is_read_only():

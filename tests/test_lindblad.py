@@ -32,6 +32,9 @@ def test_config_validation():
         IntegratorConfig(dt=0.01, t_max=0.0)
     with pytest.raises(ValidationError, match="steps"):
         IntegratorConfig(dt=1e-320, t_max=10.0)
+    IntegratorConfig(dt=1.0, t_max=float(lindblad.MAX_RK4_STEPS))
+    with pytest.raises(ValidationError, match="over"):
+        IntegratorConfig(dt=1.0, t_max=lindblad.MAX_RK4_STEPS + 1.0)
 
 
 def test_default_dt_tracks_fastest_rate():
