@@ -278,15 +278,13 @@ def _run_thermal(cfg: RunConfig) -> None:
 def _run_damped(cfg: RunConfig) -> None:
     rho = TwoModeDensityMatrix.from_pure(_grid_state(cfg))
     p = DampedParams(cfg.omega, cfg.coupling, cfg.gamma)
-    held = [rho]
+    times = _times(cfg)
+    states = evolve_damped_exact(rho, p, times)
 
     def row(t):
-        # the previous state stays referenced while the next is evolved: with
-        # every (d^2 x d^2) array freed between rows, glibc trims the heap top
-        # and the next row faults it back in, about 30% slower at cutoff 10
-        held[0] = out = evolve_damped_exact(rho, p, t)
+        out = next(states)  # _tabulate asks for the rows in grid order
         return log_negativity(out), von_neumann_entropy(reduced_state(out)), purity(out)
-    _tabulate(cfg.output_path, "Jt", _times(cfg), cfg.coupling, ["E_N", "S", "purity"], row)
+    _tabulate(cfg.output_path, "Jt", times, cfg.coupling, ["E_N", "S", "purity"], row)
 
 
 def _run_gaussian(cfg: RunConfig) -> None:
@@ -312,8 +310,7 @@ def _run_compare(cfg: RunConfig) -> None:
     times = _times(cfg)
     trajectory = integrate(rho, p, IntegratorConfig(dt=step, t_max=cfg.t_max),
                            sample_times=times)
-    closed = [evolve_damped_exact(rho, p, float(t)) for t in times]
-    report = compare(closed, trajectory)
+    report = compare(evolve_damped_exact(rho, p, times), trajectory)
     if cfg.dump_states is not None:
         _dump_oracle_states(cfg.dump_states, trajectory)
     write_csv(cfg.output_path,

@@ -2,22 +2,33 @@
 closed-form entanglement and purity expressions for that system.
 
 Propagation strategy: with equal loss rates the coupler and the loss
-commute, so rho(t) = (E x E)(U rho U^dag), with U the lossless coupler
-propagator (lossless_unitary, exact per photon sector) and E single-mode
-amplitude damping, the same on both modes.  E is the pure-loss case
-gamma_+ = 0 of the su(1,1) ordered form, whose number-basis kernel is then
-the Kraus channel A_k|n> = sqrt(C(n, k)) gamma_-^{k/2} sqrt(gamma_3)^{n-k}
-|n-k> (Chuang, Leung & Yamamoto, PRA 56, 1114, 1997), with the weights from
-loss_channel_factors.  Pure loss never raises photon number, so for inputs
-supported on the capacity region n_a + n_b <= cutoff the grid evolution
-matches the untruncated dynamics to machine precision.
+commute, so rho(t) = U (E x E)(rho) U^dag, with U the lossless coupler
+propagator and E single-mode amplitude damping, the same on both modes.  E
+is the pure-loss case gamma_+ = 0 of the su(1,1) ordered form, whose
+number-basis kernel is then the Kraus channel A_k|n> = sqrt(C(n, k))
+gamma_-^{k/2} sqrt(gamma_3)^{n-k} |n-k> (Chuang, Leung & Yamamoto, PRA 56,
+1114, 1997), with the weights from loss_channel_factors.  Pure loss never
+raises photon number, so for inputs supported on the capacity region
+n_a + n_b <= cutoff the grid evolution matches the untruncated dynamics to
+machine precision.
 
-Cost model: per grid dimension d = cutoff + 1, the sector eigensystems and
-an index table of the kernel's entries, one per (k, n, n') with k <= n, n'
-(about d^3/3), are built once and cached.  Each call scatters the d sector
-blocks of U into one grid matrix, fills the (d^2 x d^2) kernel from a
-(d x d) amplitude table with one gather, and does four dense (d^2 x d^2)
-products.
+Both factors keep photon-number sectors: loss takes the block pair (N, N')
+of rho to (N - k, N' - k) for k photons lost in all, with a t-independent
+weight times |gamma_-|^k sqrt(gamma_3)^{N-k} conj(sqrt(gamma_3))^{N'-k}, and
+U is V_N diag(e^{-i (omega N + J lam) t}) V_N^T on sector N, from the cached
+sector eigensystem.  So the time dependence is scalar per (t, k) and per
+eigenvector slot.
+
+Cost model: once per call, the loss tables are built from the nonzero
+entries of rho only, one row per k, over the block pairs that loss reaches
+from them (a NOON or Fock input of N photons has N + 1), and turned into the
+coupler eigenbasis.  A time grid is then a handful of stacked products on
+(times x entries) arrays: the tables weighted by |gamma_-|^k, the slot
+phases, and each block rotated back.  No dense (d^2 x d^2) product is done;
+each state is scattered into its grid matrix, renormalized, Hermitized and
+validated one time at a time.  The grid is walked in chunks of _CHUNK_BYTES,
+so at most one chunk and one dense state are alive however many times are
+asked for.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -38,8 +50,9 @@ from .lossless import (
     _binomial_family,
     _pt_spectrum,
     _require_capacity_support,
+    _require_finite_phases,
+    _sector_eigensystem,
     _sector_unitary,
-    lossless_unitary,
 )
 
 TRACE_DEFICIT_LIMIT = 1e-10
@@ -47,6 +60,11 @@ TRACE_DEFICIT_LIMIT = 1e-10
 # e^{-gamma t} below the smallest normal double, and the ordered-form factors
 # overflow soon after (near 709.8): the channel is at its vacuum limit.
 VACUUM_LIMIT_GAMMA_T = -math.log(sys.float_info.min)
+# bytes of compact states and their time factors built at once, about one
+# dense state at cutoff 10: a grid is walked in chunks of this size, so
+# memory does not grow with the number of times.  A 101-point grid is one
+# chunk for an input in one sector of up to 4 photons.
+_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -199,76 +217,162 @@ def mode_rotation(cutoff: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _kraus_table(dim: int) -> tuple[np.ndarray, ...]:
-    # sqrt(C(n, k)) and the photons kept n - k (clipped at 0) as (k, n)
-    # arrays, then every (k, n, n') with k <= n, n': k photons lost on each
-    # side of |n><n'| land on |n-k><n'-k|, one kernel entry per triple
-    idx = np.arange(dim)
-    root_binom = np.sqrt([[math.comb(n, k) for n in range(dim)] for k in range(dim)])
-    kept = np.maximum(idx[None, :] - idx[:, None], 0)
-    k, n, n2 = np.nonzero((idx[:, None, None] <= idx[None, :, None])
-                          & (idx[:, None, None] <= idx[None, None, :]))
-    table = (root_binom, kept, k, n, n2, (n - k) * dim + n2 - k, n * dim + n2)
-    for arr in table:
-        arr.setflags(write=False)
-    return table
+def _root_binomials(dim: int) -> np.ndarray:
+    # [k, n] -> sqrt(C(n, k)), zero for k > n
+    out = np.sqrt([[math.comb(n, k) for n in range(dim)] for k in range(dim)])
+    out.setflags(write=False)
+    return out
 
 
-def _loss_kernel(dim: int, g3_root: complex, g_minus: complex) -> np.ndarray:
-    """Single-mode amplitude-damping channel as a (dim^2, dim^2) matrix over
-    row-major vectorized operators.
-
-    Kraus form (Chuang, Leung & Yamamoto, PRA 56, 1114, 1997):
-    A_k|n> = sqrt(C(n, k)) gamma_-^{k/2} sqrt(gamma_3)^{n-k} |n-k>.  The entry
-    from source |n><n'| to target |n-k><n'-k| is amp[k, n] conj(amp[k, n']).
-    """
-    root_binom, kept, k, n, n2, target, source = _kraus_table(dim)
-    amp = root_binom * cmath.sqrt(g_minus) ** np.arange(dim)[:, None] * g3_root ** kept
-    kern = np.zeros((dim * dim, dim * dim), dtype=complex)
-    kern[target, source] = amp[k, n] * amp[k, n2].conj()
-    return kern
-
-
-def _apply_mode_kernel(sigma: np.ndarray, kern: np.ndarray) -> np.ndarray:
-    """Apply one single-mode kernel to both slots of a grid operator
-    sigma[(ma, mb), (ma', mb')]."""
-    d2 = sigma.shape[0]
-    d = int(round(math.sqrt(d2)))
-    four = sigma.reshape(d, d, d, d)                    # [ma, mb, ma', mb']
-    paired = four.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    paired = kern @ paired @ kern.T
-    return paired.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d2, d2)
+def _lost_photons(ent: np.ndarray, rows: np.ndarray, cols: np.ndarray, d: int):
+    """Every way loss moves the nonzero entries ent[rows, cols] down: k_a
+    photons from mode a and k_b from mode b on both sides take |n_a, n_b><m_a,
+    m_b| to |n_a - k_a, n_b - k_b><m_a - k_a, m_b - k_b| with the Kraus weight
+    sqrt(C(n_a, k_a) C(m_a, k_a) C(n_b, k_b) C(m_b, k_b)), before any time
+    factor.  Returns k = k_a + k_b, the target's four photon numbers and the
+    weighted entry, one element per (entry, k_a, k_b)."""
+    na, nb = np.divmod(rows, d)
+    ma, mb = np.divmod(cols, d)
+    per_a, per_b = np.minimum(na, ma) + 1, np.minimum(nb, mb) + 1
+    count = per_a * per_b
+    entry = np.repeat(np.arange(count.size), count)
+    ka, kb = np.divmod(np.arange(entry.size) - np.repeat(np.cumsum(count) - count, count),
+                       per_b[entry])
+    na, nb, ma, mb = na[entry], nb[entry], ma[entry], mb[entry]
+    root = _root_binomials(d)
+    weighted = ent[rows, cols][entry] * (root[ka, na] * root[ka, ma]
+                                         * root[kb, nb] * root[kb, mb])
+    return ka + kb, na - ka, nb - kb, ma - ka, mb - kb, weighted
 
 
-def evolve_damped_exact(rho: TwoModeDensityMatrix, p: DampedParams,
-                        t: float) -> TwoModeDensityMatrix:
-    """Propagate rho for a time t >= 0 under the coupler Hamiltonian with
-    equal photon loss on both modes.  No time stepping is involved; cost is
-    set by the grid size only.  Beyond gamma t = VACUUM_LIMIT_GAMMA_T the
-    result is the vacuum."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValidationError(f"t must be finite and >= 0, got {t}")
+class _SectorTerms(NamedTuple):
+    """The t-independent part of rho(t) for one input, over a compact layout:
+    whole sector block pairs (M, M'), one after the other, each row-major,
+    for every pair that loss reaches from rho."""
+
+    pairs: list            # (M, M', slice of the layout) per block pair
+    lost: np.ndarray       # [k, entry]: k photons lost, coupler eigenbasis
+    rows: np.ndarray       # grid row and column of each entry
+    cols: np.ndarray
+    partner: np.ndarray    # the entry at the transposed grid position
+    diag: np.ndarray       # the entries on the grid diagonal
+
+
+def _sector_terms(ent: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                  d: int) -> _SectorTerms:
+    k, na, nb, ma, mb, weighted = _lost_photons(ent, rows, cols, d)
+    row_total, col_total = na + nb, ma + mb
+    # both orders of every pair, so each entry's transposed partner is laid out
+    reached = np.zeros(d * d, dtype=bool)
+    reached[row_total * d + col_total] = reached[col_total * d + row_total] = True
+    keys = np.flatnonzero(reached)
+    sizes = (keys // d + 1) * (keys % d + 1)
+    starts = np.cumsum(sizes) - sizes
+    start_of = np.zeros(d * d, dtype=int)
+    start_of[keys] = starts
+    size = int(sizes.sum())
+    lost = np.zeros((d, size), dtype=complex)
+    np.add.at(lost, (k, start_of[row_total * d + col_total] + na * (col_total + 1) + ma),
+              weighted)
+    layout = np.empty((3, size), dtype=int)
+    pairs = []
+    for key, start, n in zip(keys.tolist(), starts.tolist(), sizes.tolist()):
+        m, m2 = divmod(key, d)
+        sl = slice(start, start + n)
+        vec, vec2 = _sector_eigensystem(m)[1], _sector_eigensystem(m2)[1]
+        lost[:, sl] = (vec.T @ lost[:, sl].reshape(d, m + 1, m2 + 1) @ vec2).reshape(d, n)
+        i, j = np.divmod(np.arange(n), m2 + 1)
+        layout[:, sl] = (i * d + m - i, j * d + m2 - j, start_of[m2 * d + m] + j * (m + 1) + i)
+        pairs.append((m, m2, sl))
+    grid_rows, grid_cols, partner = layout
+    diag = np.flatnonzero(grid_rows == grid_cols)
+    return _SectorTerms(pairs, lost, grid_rows, grid_cols, partner, diag)
+
+
+def _sector_stack(terms: _SectorTerms, p: DampedParams, cutoff: int,
+                  times: np.ndarray) -> np.ndarray:
+    """rho(t) on the compact layout, one row per time: the loss terms summed
+    with weights |gamma_-|^k, eigenvector i of sector M scaled by
+    sqrt(gamma_3)^M and its coupler phase e^{-i (omega M + J lam_i) t} on the
+    left and by the conjugate on the right, then every block rotated out of
+    the eigenbasis."""
+    coupler = p.coupler()
+    g_minus_abs = np.empty(times.size)
+    g3_root = np.empty(times.size, dtype=complex)
+    for n, t in enumerate(times.tolist()):
+        _require_finite_phases(cutoff, coupler, t)
+        _, g3_root[n], g_minus = loss_channel_factors(p.gamma, t)
+        g_minus_abs[n] = abs(g_minus)
+    column = times[:, None]
+    # every sector in use is some pair's M: both orders of each pair are laid out
+    amp = {m: g3_root[:, None] ** m * np.exp(-1j * p.omega * m * column)
+           * np.exp(-1j * p.J * column * _sector_eigensystem(m)[0])
+           for m in {m for m, _, _ in terms.pairs}}
+    stack = (g_minus_abs[:, None] ** np.arange(cutoff + 1)) @ terms.lost
+    for m, m2, sl in terms.pairs:
+        # a view into stack: the pair's entries are contiguous in each row
+        block = stack[:, sl].reshape(times.size, m + 1, m2 + 1)
+        block *= amp[m][:, :, None]
+        block *= amp[m2].conj()[:, None, :]
+        block[...] = _sector_eigensystem(m)[1] @ block @ _sector_eigensystem(m2)[1].T
+    return stack
+
+
+def _propagate(rho: TwoModeDensityMatrix, terms: _SectorTerms, p: DampedParams,
+               times: np.ndarray):
+    d2 = (rho.cutoff + 1) ** 2
+    # per time: the compact state, its sector amplitudes (no more entries
+    # than the state) and the cutoff + 1 loss weights, complex
+    step = max(1, _CHUNK_BYTES // (16 * (2 * terms.partner.size + rho.cutoff + 1)))
+    for begin in range(0, times.size, step):
+        chunk = times[begin:begin + step]
+        with np.errstate(over="ignore"):
+            live = chunk * p.gamma <= VACUUM_LIMIT_GAMMA_T
+        stack = _sector_stack(terms, p, rho.cutoff, chunk[live])
+        rows = zip(stack, stack[:, terms.diag].real.sum(axis=1).tolist())
+        for alive in live.tolist():
+            if not alive:
+                vacuum = np.zeros_like(rho.entries)
+                vacuum[0, 0] = 1.0
+                yield TwoModeDensityMatrix(rho.cutoff, vacuum)
+                continue
+            entries, trace = next(rows)
+            deficit = abs(trace - 1.0)
+            if deficit > TRACE_DEFICIT_LIMIT:
+                raise TruncationError(
+                    f"probability {deficit:.3e} left the grid; raise the cutoff above "
+                    f"{rho.cutoff}", tail_estimate=deficit)
+            entries = entries / trace
+            entries = 0.5 * (entries + entries[terms.partner].conj())
+            rho_t = np.zeros((d2, d2), dtype=complex)
+            rho_t[terms.rows, terms.cols] = entries
+            rho_t.setflags(write=False)  # fresh, so validation need not copy it
+            yield TwoModeDensityMatrix(rho.cutoff, rho_t)
+
+
+def evolve_damped_exact(rho: TwoModeDensityMatrix, p: DampedParams, t: float | np.ndarray
+                        ) -> TwoModeDensityMatrix | Iterator[TwoModeDensityMatrix]:
+    """Propagate rho under the coupler Hamiltonian with equal photon loss on
+    both modes, to one time t >= 0 or over an array of times.
+
+    A float t gives the state at t.  A 1-D array gives an iterator over the
+    states at its times, in order, each built as it is drawn, so memory does
+    not grow with the number of times.  No time stepping is involved.  Beyond
+    gamma t = VACUUM_LIMIT_GAMMA_T the state is the vacuum."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValidationError(f"t must be a number or a 1-D array, got shape {times.shape}")
+    flat = times.reshape(-1)
+    if flat.size and not (flat.min() >= 0.0 and math.isfinite(flat.max())):
+        bad = flat[~(np.isfinite(flat) & (flat >= 0.0))][0]
+        raise ValidationError(f"t must be finite and >= 0, got {bad}")
     d = rho.cutoff + 1
-    diag = np.real(np.diagonal(rho.entries)).reshape(d, d)
-    _require_capacity_support(diag, rho.cutoff, "density-matrix diagonal")
-    if p.gamma * t > VACUUM_LIMIT_GAMMA_T:
-        vacuum = np.zeros_like(rho.entries)
-        vacuum[0, 0] = 1.0
-        return TwoModeDensityMatrix(rho.cutoff, vacuum)
-    u = lossless_unitary(rho.cutoff, p.coupler(), t)
-    sigma = u @ rho.entries @ u.conj().T
-    _, g3_root, g_minus = loss_channel_factors(p.gamma, t)
-    rho_t = _apply_mode_kernel(sigma, _loss_kernel(d, g3_root, g_minus))
-    trace = float(np.trace(rho_t).real)
-    deficit = abs(trace - 1.0)
-    if deficit > TRACE_DEFICIT_LIMIT:
-        raise TruncationError(
-            f"probability {deficit:.3e} left the grid; raise the cutoff above "
-            f"{rho.cutoff}", tail_estimate=deficit)
-    rho_t = rho_t / trace
-    rho_t = 0.5 * (rho_t + rho_t.conj().T)
-    rho_t.setflags(write=False)  # fresh, so validation need not copy it
-    return TwoModeDensityMatrix(rho.cutoff, rho_t)
+    rows, cols = np.nonzero(rho.entries)
+    occupied = np.zeros(d * d)
+    occupied[rows] = occupied[cols] = 1.0
+    _require_capacity_support(occupied.reshape(d, d), rho.cutoff, "density matrix")
+    states = _propagate(rho, _sector_terms(rho.entries, rows, cols, d), p, flat)
+    return next(states) if times.ndim == 0 else states
 
 
 def _theta(p: DampedParams, t: float) -> complex:

@@ -128,9 +128,12 @@ def integrate(rho0: TwoModeDensityMatrix, p: DampedParams, config: IntegratorCon
         if span > 1e-15:
             nsteps = max(1, math.ceil(span / config.dt - 1e-12))
             h = span / nsteps
-            for _ in range(nsteps):
-                rho = _rk4_step(rho, rho0.cutoff, p, h)
-                rho = 0.5 * (rho + rho.conj().T)
+            # a step far above the stable one overflows to a non-finite
+            # state, which the trace gate below refuses
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(nsteps):
+                    rho = _rk4_step(rho, rho0.cutoff, p, h)
+                    rho = 0.5 * (rho + rho.conj().T)
             steps_taken += nsteps
             t_now = float(target)
         drift = abs(float(np.trace(rho).real) - 1.0)

@@ -65,11 +65,15 @@ def _sector_eigensystem(total: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, vec
 
 
-def _sector_unitary(total: int, params: CouplerParams, t: float) -> np.ndarray:
-    # the sector's eigenvalues lie in [-total, total]
+def _require_finite_phases(total: int, params: CouplerParams, t: float):
+    # the phases of sectors up to total: their eigenvalues lie in [-total, total]
     if not (math.isfinite(params.J * t * total) and math.isfinite(params.omega * total * t)):
         raise NumericalError(f"coupler phases overflow a float at J t = {params.J * t:g}, "
                              f"omega t = {params.omega * t:g}")
+
+
+def _sector_unitary(total: int, params: CouplerParams, t: float) -> np.ndarray:
+    _require_finite_phases(total, params, t)
     lam, vec = _sector_eigensystem(total)
     phases = np.exp(-1j * params.J * t * lam)
     return np.exp(-1j * params.omega * total * t) * ((vec * phases) @ vec.T)

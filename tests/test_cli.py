@@ -170,6 +170,7 @@ def test_usage_errors_exit_two(argv, tmp_path, capsys):
     ["damped", "--input", "noon:3", "--cutoff", "2000", "--steps", "2"],
     ["gaussian", "--J", "1e308", "--steps", "2"],
     ["compare", "--J", "1e6"],
+    ["compare", "--J", "1e6", "--dt", "1e-3"],
 ])
 def test_overflowing_values_exit_three(argv, tmp_path, capsys):
     assert main(argv + ["-o", str(tmp_path / "x.csv")]) == EXIT_NUMERICAL
@@ -185,6 +186,17 @@ def test_noon_refuses_large_n_before_the_noon_eigensolve(monkeypatch, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [["damped", "--steps", "100"], ["compare"]])
+def test_propagator_called_once_per_run(argv, monkeypatch, tmp_path):
+    # the whole time grid is one batched call, not one call per row
+    calls = []
+    propagate = cli.evolve_damped_exact
+    monkeypatch.setattr(cli, "evolve_damped_exact",
+                        lambda *args: calls.append(args) or propagate(*args))
+    assert main(argv + ["-o", str(tmp_path / "x.csv")]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,8 +148,7 @@ def test_disentangle_boundary_identities():
 def _loop_branch_kernel(dim, freq, gamma, t, g_plus, g3_root, g_minus):
     # plain loop over the general ordered-form triple sum (q annihilations and
     # p creations per side, scalar e^{gamma t}) with a free rotation at freq,
-    # kept as the referee for the amplitude-damping Kraus kernel
-    # damped._loss_kernel (freq = 0) and for the normal-mode route below
+    # kept as the referee behind the normal-mode route below
     kern = np.zeros((dim * dim, dim * dim), dtype=complex)
     scale = cmath.exp(gamma * t)
     for m in range(dim):
@@ -168,17 +168,6 @@ def _loop_branch_kernel(dim, freq, gamma, t, g_plus, g3_root, g_minus):
                             * g3_root ** (big + bigp - 2 * q + 1) * g_plus ** p)
                 kern[row, big * dim + bigp] = phase * acc
     return kern
-
-
-def test_loss_kernel_matches_loop_reference():
-    for dim in range(1, 12):
-        for gamma in (0.0, 0.05, 0.1, 1.0):
-            for t in (0.0, 0.7, 3.0, 25.0):
-                factors = loss_channel_factors(gamma, t)
-                want = _loop_branch_kernel(dim, 0.0, gamma, t, *factors)
-                got = damped._loss_kernel(dim, *factors[1:])
-                assert got.shape == want.shape
-                assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def _normal_mode_route(rho, p, t):
@@ -212,14 +201,99 @@ def _grid_inputs():
 
 
 def test_propagator_matches_normal_mode_route():
+    times = (0.4, 2.5, 5.0, 40.0)
     for rho in _grid_inputs():
         for omega, coupling in ((0.0, 0.5), (0.7, 1.3)):
             for gamma in (0.0, 0.05, 0.3, 1.0):
-                for t in (0.4, 2.5, 5.0, 40.0):
-                    p = DampedParams(omega, coupling, gamma)
-                    got = evolve_damped_exact(rho, p, t).entries
+                p = DampedParams(omega, coupling, gamma)
+                states = list(evolve_damped_exact(rho, p, np.array(times)))
+                assert len(states) == len(times)
+                for t, state in zip(times, states):
                     want = _normal_mode_route(rho, p, t)
-                    assert np.max(np.abs(got - want)) <= 1e-12, (rho.cutoff, p, t)
+                    assert np.max(np.abs(state.entries - want)) <= 1e-12, (rho.cutoff, p, t)
+
+
+@pytest.mark.parametrize("chunk_bytes", [damped._CHUNK_BYTES, 1 << 14])
+def test_batch_matches_scalar_calls(chunk_bytes, monkeypatch):
+    # a state does not depend on the chunk of the grid it was built in
+    monkeypatch.setattr(damped, "_CHUNK_BYTES", chunk_bytes)
+    times = np.concatenate((np.linspace(0.0, 8.0, 37), [40.0, 0.3]))
+    for rho in _grid_inputs():
+        p = DampedParams(0.7, 1.3, 0.05)
+        batch = evolve_damped_exact(rho, p, times)
+        for t in times:
+            want = evolve_damped_exact(rho, p, float(t)).entries
+            assert np.max(np.abs(next(batch).entries - want)) <= 1e-13, (rho.cutoff, t)
+        assert next(batch, None) is None
+
+
+def test_batch_crossing_the_vacuum_limit():
+    rho = TwoModeDensityMatrix.from_pure(noon_state(2, 2))
+    params = DampedParams(0.0, 1.0, 200.0)
+    limit = damped.VACUUM_LIMIT_GAMMA_T / params.gamma
+    vacuum = np.zeros_like(rho.entries)
+    vacuum[0, 0] = 1.0
+    times = np.array([0.001, 1.001 * limit, 0.002, 5.0])
+    for t, state in zip(times, evolve_damped_exact(rho, params, times)):
+        if t > limit:
+            assert np.array_equal(state.entries, vacuum)
+        else:
+            assert abs(state.entries[0, 0] - 1.0) > 0.1
+            assert np.array_equal(state.entries,
+                                  evolve_damped_exact(rho, params, float(t)).entries)
+
+
+def test_batch_gates(monkeypatch):
+    rho = TwoModeDensityMatrix.from_pure(noon_state(1, 1))
+    with pytest.raises(ValidationError):
+        evolve_damped_exact(rho, P, np.array([0.0, math.nan]))
+    with pytest.raises(ValidationError):
+        evolve_damped_exact(rho, P, np.array([0.0, -1.0]))
+    with pytest.raises(ValidationError):
+        evolve_damped_exact(rho, P, np.zeros((2, 2)))
+    # phases overflow only at the last time: omega t = 2e308 there
+    with pytest.raises(NumericalError):
+        list(evolve_damped_exact(rho, DampedParams(1e308, 0.5, 0.05),
+                                 np.array([0.0, 0.5, 1.0, 2.0])))
+    amp = np.zeros((3, 3), dtype=complex)
+    amp[2, 2] = 1.0  # n_a + n_b = 4 > cutoff 2
+    corner = TwoModeDensityMatrix.from_pure(state_from_amplitudes(amp, 2))
+    with pytest.raises(CapacityError):
+        evolve_damped_exact(corner, P, np.array([0.0, 0.5]))
+    # the channel heats only from t = 1 on: the states before it come out
+    heating = damped.loss_channel_factors
+    monkeypatch.setattr(damped, "loss_channel_factors",
+                        lambda gamma, t: (0.0, 1.0, 0.5) if t >= 1.0 else heating(gamma, t))
+    states = evolve_damped_exact(rho, P, np.array([0.0, 0.5, 1.0, 1.5]))
+    assert len([next(states), next(states)]) == 2
+    with pytest.raises(TruncationError):
+        next(states)
+
+
+def test_batch_memory_does_not_grow_with_the_grid(monkeypatch):
+    # drawing the first state of a 10^6-point grid builds one chunk of it
+    rho = TwoModeDensityMatrix.from_pure(noon_state(10, 10))
+    p = DampedParams(0.3, 0.7, 0.05)
+    evolve_damped_exact(rho, p, 0.5)  # fill the caches first
+    stack = damped._sector_stack
+
+    def one_chunk(terms, params, cutoff, times):
+        # refused before it is built: the whole grid would take gigabytes
+        assert times.size < 1000
+        return stack(terms, params, cutoff, times)
+    monkeypatch.setattr(damped, "_sector_stack", one_chunk)
+    times = np.linspace(0.0, 50.0, 10 ** 6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        first = next(evolve_damped_exact(rho, p, times))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(first.entries - rho.entries)) <= 1e-13
+    # one dense state is 234 kB, and validating it takes about four; any
+    # array over the grid takes 1 MB (bool) to 16 MB (complex)
+    assert peak < 6 * rho.entries.nbytes
 
 
 def test_cached_mode_rotation_is_read_only():
