@@ -28,11 +28,8 @@ from .errors import CoupledwgError, NumericalError, ToleranceExceeded
 from .fock import (
     StateSpec,
     TwoModeDensityMatrix,
-    log_negativity,
     make_pure_state,
     pure_log_negativity,
-    purity,
-    reduced_state,
     von_neumann_entropy,
 )
 from .gaussian import thermal_evolved_covariance, log_negativity_gaussian
@@ -187,16 +184,22 @@ def _pure_reduced_entropy(state) -> float:
 
 
 def _tabulate(path: str | None, first: str, grid: np.ndarray, scale: float,
-              names: list, row: Callable[[float], tuple]) -> None:
+              names: list, row: Callable[[float], tuple] | None = None,
+              columns: Callable[[np.ndarray], np.ndarray] | None = None) -> None:
     """Write one CSV line per grid point x: scale * x, then the measures
-    row(x) under the column names.  The first column is scaled after every
-    row is evaluated, so a measure's own overflow is the error reported."""
-    values = np.array([[float(v) for v in row(float(x))] for x in grid])
+    under the column names, from row(x) at each point or from columns(grid),
+    one array per name over the whole grid.  The first column is scaled
+    after every value is evaluated, so a measure's own overflow is the error
+    reported."""
+    if columns is None:
+        values = np.array([[float(v) for v in row(float(x))] for x in grid]).T
+    else:
+        values = columns(grid)
     with np.errstate(over="ignore"):
         scaled = scale * grid
     if not np.isfinite(scaled).all():
         raise NumericalError(f"column {first} = {scale:g} * {grid[-1]:g} overflows a float")
-    write_csv(path, [first, *names], [scaled, *values.T])
+    write_csv(path, [first, *names], [scaled, *values])
 
 
 def _input_spec(cfg: RunConfig, fallback: StateSpec | None = None) -> StateSpec:
@@ -278,13 +281,9 @@ def _run_thermal(cfg: RunConfig) -> None:
 def _run_damped(cfg: RunConfig) -> None:
     rho = TwoModeDensityMatrix.from_pure(_grid_state(cfg))
     p = DampedParams(cfg.omega, cfg.coupling, cfg.gamma)
-    times = _times(cfg)
-    states = evolve_damped_exact(rho, p, times)
-
-    def row(t):
-        out = next(states)  # _tabulate asks for the rows in grid order
-        return log_negativity(out), von_neumann_entropy(reduced_state(out)), purity(out)
-    _tabulate(cfg.output_path, "Jt", times, cfg.coupling, ["E_N", "S", "purity"], row)
+    _tabulate(cfg.output_path, "Jt", _times(cfg), cfg.coupling, ["E_N", "S", "purity"],
+              columns=lambda times: np.concatenate(
+                  list(evolve_damped_exact(rho, p, times).measures()), axis=1))
 
 
 def _run_gaussian(cfg: RunConfig) -> None:

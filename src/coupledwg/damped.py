@@ -24,11 +24,17 @@ entries of rho only, one row per k, over the block pairs that loss reaches
 from them (a NOON or Fock input of N photons has N + 1), and turned into the
 coupler eigenbasis.  A time grid is then a handful of stacked products on
 (times x entries) arrays: the tables weighted by |gamma_-|^k, the slot
-phases, and each block rotated back.  No dense (d^2 x d^2) product is done;
-each state is scattered into its grid matrix, renormalized, Hermitized and
-validated one time at a time.  The grid is walked in chunks of _CHUNK_BYTES,
-so at most one chunk and one dense state are alive however many times are
-asked for.
+phases, and each block rotated back.  No dense (d^2 x d^2) product is done.
+Each chunk of the grid is checked for its trace deficit, renormalized and
+Hermitized on the compact layout.  Drawn as states, each is then scattered
+into its grid matrix and validated one time at a time.  Drawn as measures
+(DampedStates.measures), the chunk is validated and measured on the layout
+itself: t-independent tables gather the occupied sector blocks of all its
+states, and of their partial transposes, for fock._sector_eigvalsh, one
+stacked solve per block size, and the diagonals of the reduced states.  No
+dense state is built then.  The grid is walked in chunks of _CHUNK_BYTES,
+so at most one chunk, and one dense state when states are drawn, is alive
+however many times are asked for.
 """
 
 from __future__ import annotations
@@ -43,7 +49,23 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import NumericalError, TruncationError, ValidationError
-from .fock import MeasureValue, TwoModeDensityMatrix, entropy_bits
+from .fock import (
+    MeasureValue,
+    TwoModeDensityMatrix,
+    _by_size,
+    _checked_spectra,
+    _entropies,
+    _gated,
+    _log_negativities,
+    _ordered_sum,
+    _sector_eigvalsh,
+    _sector_grid,
+    entropy_bits,
+    log_negativity,
+    purity,
+    reduced_state,
+    von_neumann_entropy,
+)
 from .lossless import (
     CouplerParams,
     _assemble_sectors,
@@ -60,11 +82,12 @@ TRACE_DEFICIT_LIMIT = 1e-10
 # e^{-gamma t} below the smallest normal double, and the ordered-form factors
 # overflow soon after (near 709.8): the channel is at its vacuum limit.
 VACUUM_LIMIT_GAMMA_T = -math.log(sys.float_info.min)
-# bytes of compact states and their time factors built at once, about one
-# dense state at cutoff 10: a grid is walked in chunks of this size, so
-# memory does not grow with the number of times.  A 101-point grid is one
-# chunk for an input in one sector of up to 4 photons.
-_CHUNK_BYTES = 1 << 18
+# bytes of compact states, their time factors and the sector blocks gathered
+# from them built at once, about four dense states at cutoff 10: a grid is
+# walked in chunks of this size, so memory does not grow with the number of
+# times.  The measures of a 101-point grid for NOON-10 take 6 chunks, and
+# one for an input of up to 4 photons.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -248,7 +271,9 @@ def _lost_photons(ent: np.ndarray, rows: np.ndarray, cols: np.ndarray, d: int):
 class _SectorTerms(NamedTuple):
     """The t-independent part of rho(t) for one input, over a compact layout:
     whole sector block pairs (M, M'), one after the other, each row-major,
-    for every pair that loss reaches from rho."""
+    for every pair that loss reaches from rho.  Every input loses all its
+    photons in some term, so the pair (0, 0) is always laid out, first: entry
+    0 is the vacuum population."""
 
     pairs: list            # (M, M', slice of the layout) per block pair
     lost: np.ndarray       # [k, entry]: k photons lost, coupler eigenbasis
@@ -256,6 +281,7 @@ class _SectorTerms(NamedTuple):
     cols: np.ndarray
     partner: np.ndarray    # the entry at the transposed grid position
     diag: np.ndarray       # the entries on the grid diagonal
+    starts: np.ndarray     # [M * d + M']: where pair (M, M') starts, -1 if absent
 
 
 def _sector_terms(ent: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -268,7 +294,7 @@ def _sector_terms(ent: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     keys = np.flatnonzero(reached)
     sizes = (keys // d + 1) * (keys % d + 1)
     starts = np.cumsum(sizes) - sizes
-    start_of = np.zeros(d * d, dtype=int)
+    start_of = np.full(d * d, -1)
     start_of[keys] = starts
     size = int(sizes.sum())
     lost = np.zeros((d, size), dtype=complex)
@@ -286,7 +312,7 @@ def _sector_terms(ent: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         pairs.append((m, m2, sl))
     grid_rows, grid_cols, partner = layout
     diag = np.flatnonzero(grid_rows == grid_cols)
-    return _SectorTerms(pairs, lost, grid_rows, grid_cols, partner, diag)
+    return _SectorTerms(pairs, lost, grid_rows, grid_cols, partner, diag, start_of)
 
 
 def _sector_stack(terms: _SectorTerms, p: DampedParams, cutoff: int,
@@ -319,46 +345,170 @@ def _sector_stack(terms: _SectorTerms, p: DampedParams, cutoff: int,
 
 
 def _propagate(rho: TwoModeDensityMatrix, terms: _SectorTerms, p: DampedParams,
-               times: np.ndarray):
-    d2 = (rho.cutoff + 1) ** 2
-    # per time: the compact state, its sector amplitudes (no more entries
-    # than the state) and the cutoff + 1 loss weights, complex
-    step = max(1, _CHUNK_BYTES // (16 * (2 * terms.partner.size + rho.cutoff + 1)))
+               times: np.ndarray, gathered: int = 0) -> Iterator[np.ndarray]:
+    """rho(t) on the compact layout, one chunk of the grid at a time, one row
+    per time: each state has passed the trace-deficit gate and is
+    renormalized and Hermitized, and past the vacuum limit it is the vacuum.
+    A chunk holds as many times as _CHUNK_BYTES allows, counting per time
+    the cutoff + 1 loss weights, three compact states (the stack, its
+    Hermitized copy and the vacuum rows' copy) and the entries that the
+    consumer gathers from each state.  On a trace deficit the states before
+    it come out first."""
+    step = max(1, _CHUNK_BYTES // (16 * (3 * terms.partner.size + rho.cutoff + 1 + gathered)))
     for begin in range(0, times.size, step):
-        chunk = times[begin:begin + step]
-        with np.errstate(over="ignore"):
-            live = chunk * p.gamma <= VACUUM_LIMIT_GAMMA_T
-        stack = _sector_stack(terms, p, rho.cutoff, chunk[live])
-        rows = zip(stack, stack[:, terms.diag].real.sum(axis=1).tolist())
-        for alive in live.tolist():
-            if not alive:
-                vacuum = np.zeros_like(rho.entries)
-                vacuum[0, 0] = 1.0
-                yield TwoModeDensityMatrix(rho.cutoff, vacuum)
-                continue
-            entries, trace = next(rows)
-            deficit = abs(trace - 1.0)
-            if deficit > TRACE_DEFICIT_LIMIT:
-                raise TruncationError(
-                    f"probability {deficit:.3e} left the grid; raise the cutoff above "
-                    f"{rho.cutoff}", tail_estimate=deficit)
-            entries = entries / trace
-            entries = 0.5 * (entries + entries[terms.partner].conj())
-            rho_t = np.zeros((d2, d2), dtype=complex)
-            rho_t[terms.rows, terms.cols] = entries
-            rho_t.setflags(write=False)  # fresh, so validation need not copy it
-            yield TwoModeDensityMatrix(rho.cutoff, rho_t)
+        states, error = _chunk_states(terms, p, rho.cutoff, times[begin:begin + step])
+        if states.shape[0]:
+            yield states
+        if error is not None:
+            raise error
+
+
+def _chunk_states(terms: _SectorTerms, p: DampedParams, cutoff: int, chunk: np.ndarray):
+    """The rows of _propagate for one chunk of times, and the TruncationError
+    of its first time with a trace deficit, before which the rows stop; the
+    stack they are built from is freed on return."""
+    with np.errstate(over="ignore"):
+        live = chunk * p.gamma <= VACUUM_LIMIT_GAMMA_T
+    stack = _sector_stack(terms, p, cutoff, chunk[live])
+    trace = stack[:, terms.diag].real.sum(axis=1)
+    deficit = np.abs(trace - 1.0)
+    bad = np.flatnonzero(deficit > TRACE_DEFICIT_LIMIT)
+    error = None
+    if bad.size:
+        error = TruncationError(
+            f"probability {deficit[bad[0]]:.3e} left the grid; raise the cutoff above "
+            f"{cutoff}", tail_estimate=float(deficit[bad[0]]))
+        live = live[:np.flatnonzero(live)[bad[0]]]
+        stack, trace = stack[:bad[0]], trace[:bad[0]]
+    stack /= trace[:, None]
+    states = stack[:, terms.partner]
+    np.conjugate(states, out=states)
+    states += stack
+    states *= 0.5
+    if not live.all():
+        rows = np.zeros((live.size, terms.partner.size), dtype=complex)
+        rows[~live, 0] = 1.0
+        rows[live] = states
+        states = rows
+    return states, error
+
+
+class _MeasureTables(NamedTuple):
+    """Where the measures of a chunk read its rows, each padded with one 0
+    entry at its end that stands for every grid entry outside the layout:
+    per block size, the occupied sector blocks of rho(t) (n_a + n_b) and of
+    its partial transpose (n_a - n_b), and for the reduced state of mode a,
+    the terms rho((n, k), (n, k)) of its diagonal."""
+
+    blocks: list
+    transposed: list
+    reduced: np.ndarray    # [n, k]
+    gathered: int          # complex entries built per state
+
+
+def _measure_tables(terms: _SectorTerms, d: int) -> _MeasureTables | None:
+    """The t-independent gather tables of the chunk measures, or None when
+    rho(t) is not block-diagonal in n_a + n_b: its layout then holds a pair
+    (M, M') with M != M'."""
+    if any(m != m2 for m, m2, _ in terms.pairs):
+        return None
+    pad = terms.partner.size
+
+    def position(na, nb, ma, mb):
+        # rho's entry at (na, nb), (ma, mb) in a padded row
+        total = na + nb
+        inside = (total == ma + mb) & (total < d)
+        start = np.where(inside, terms.starts[np.where(inside, total * (d + 1), 0)], -1)
+        return np.where(start >= 0, start + na * (total + 1) + ma, pad)
+
+    tables = []
+    for sign, transposed in ((1, False), (-1, True)):
+        *grid, mask, sizes = _sector_grid(d, sign, transposed)
+        index = np.where(mask, position(*grid), pad)
+        tables.append(_by_size(index, sizes, (index != pad).any(axis=(1, 2))))
+    n, k = np.divmod(np.arange(d * d), d)
+    reduced = position(n, k, n, k).reshape(d, d)
+    # the padded row, the blocks, the reduced terms and the reduced states
+    gathered = pad + 1 + sum(t.size for t in tables[0] + tables[1]) + 2 * reduced.size
+    return _MeasureTables(*tables, reduced, gathered)
+
+
+def _chunk_measures(chunk: np.ndarray, terms: _SectorTerms, tables: _MeasureTables,
+                    d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E_N, the entropy S of mode a and the purity of each state of a chunk,
+    once every state has passed the TwoModeDensityMatrix gates (Hermiticity
+    against each entry's transposed partner, unit trace, eigenvalue floor;
+    NaN fails each) with the same errors."""
+    count = chunk.shape[0]
+    padded = np.concatenate((chunk, np.zeros((count, 1))), axis=1)
+    partner = chunk[:, terms.partner]
+    _checked_spectra(np.abs(chunk - partner.conj()).max(axis=1),
+                     chunk[:, terms.diag].sum(axis=1),
+                     lambda k: _sector_eigvalsh((padded[:k, t] for t in tables.blocks), k))
+    en = _log_negativities(_sector_eigvalsh((padded[:, t] for t in tables.transposed), count))
+    sigma = np.zeros((count, d, d), dtype=complex)
+    sigma[:, np.arange(d), np.arange(d)] = _ordered_sum(padded[:, tables.reduced])
+    return en, _entropies(sigma), _gated("purity", (chunk * partner).sum(axis=1).real)
+
+
+class DampedStates:
+    """rho(t) over a 1-D array of times, built one chunk of the grid at a
+    time as it is consumed, so memory does not grow with the number of times.
+
+    Iterating gives the states in order, each a validated
+    TwoModeDensityMatrix.  measures() gives instead the columns E_N, the
+    entropy S of mode a and the purity over the whole grid, one chunk at a
+    time, straight from the compact layout: every state passes the same
+    gates, and no dense state is built unless rho mixes photon sectors."""
+
+    def __init__(self, rho: TwoModeDensityMatrix, terms: _SectorTerms, p: DampedParams,
+                 times: np.ndarray):
+        self._rho, self._terms, self._p, self._times = rho, terms, p, times
+        self._states = None
+
+    def __iter__(self) -> "DampedStates":
+        return self
+
+    def __next__(self) -> TwoModeDensityMatrix:
+        if self._states is None:
+            self._states = self._dense_states()
+        return next(self._states)
+
+    def _dense_states(self) -> Iterator[TwoModeDensityMatrix]:
+        d2 = (self._rho.cutoff + 1) ** 2
+        for chunk in _propagate(self._rho, self._terms, self._p, self._times):
+            for row in chunk:
+                rho_t = np.zeros((d2, d2), dtype=complex)
+                rho_t[self._terms.rows, self._terms.cols] = row
+                rho_t.setflags(write=False)  # fresh, so validation need not copy it
+                yield TwoModeDensityMatrix(self._rho.cutoff, rho_t)
+
+    def measures(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """One (E_N, S, purity) triple of arrays per chunk of the grid, in order."""
+        d = self._rho.cutoff + 1
+        tables = _measure_tables(self._terms, d)
+        if tables is None:  # the states' spectra need dense solves
+            for state in self._dense_states():
+                yield tuple(np.array([float(value)]) for value in (
+                    log_negativity(state), von_neumann_entropy(reduced_state(state)),
+                    purity(state)))
+            return
+        for chunk in _propagate(self._rho, self._terms, self._p, self._times,
+                                tables.gathered):
+            yield _chunk_measures(chunk, self._terms, tables, d)
 
 
 def evolve_damped_exact(rho: TwoModeDensityMatrix, p: DampedParams, t: float | np.ndarray
-                        ) -> TwoModeDensityMatrix | Iterator[TwoModeDensityMatrix]:
+                        ) -> TwoModeDensityMatrix | DampedStates:
     """Propagate rho under the coupler Hamiltonian with equal photon loss on
     both modes, to one time t >= 0 or over an array of times.
 
-    A float t gives the state at t.  A 1-D array gives an iterator over the
-    states at its times, in order, each built as it is drawn, so memory does
-    not grow with the number of times.  No time stepping is involved.  Beyond
-    gamma t = VACUUM_LIMIT_GAMMA_T the state is the vacuum."""
+    A float t gives the state at t.  A 1-D array gives a DampedStates: an
+    iterator over the states at its times, in order, each built as it is
+    drawn, so memory does not grow with the number of times; its measures()
+    gives the E_N, S and purity columns instead.  No time stepping is
+    involved.  Beyond gamma t = VACUUM_LIMIT_GAMMA_T the state is the
+    vacuum."""
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValidationError(f"t must be a number or a 1-D array, got shape {times.shape}")
@@ -371,7 +521,7 @@ def evolve_damped_exact(rho: TwoModeDensityMatrix, p: DampedParams, t: float | n
     occupied = np.zeros(d * d)
     occupied[rows] = occupied[cols] = 1.0
     _require_capacity_support(occupied.reshape(d, d), rho.cutoff, "density matrix")
-    states = _propagate(rho, _sector_terms(rho.entries, rows, cols, d), p, flat)
+    states = DampedStates(rho, _sector_terms(rho.entries, rows, cols, d), p, flat)
     return next(states) if times.ndim == 0 else states
 
 

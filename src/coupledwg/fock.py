@@ -10,11 +10,20 @@ Density-matrix validation and the negativity solve eigenproblems sector by
 sector.  The coupler conserves n_a + n_b and loss keeps coherence offsets, so
 a Fock or NOON input stays block-diagonal in n_a + n_b; its partial transpose
 is then block-diagonal in n_a - n_b.  For the two-mode squeezed vacuum the
-roles swap.  Which labelling holds is read from the exact zeros of rho, and
-its 2d - 1 blocks (d = cutoff + 1) are solved at a cost of about
-(2d - 1) d^3 instead of d^6.  A matrix block-diagonal in neither labelling,
-such as a squeezed state after the coupler, falls back to one dense
-(d^2) x (d^2) solve.
+roles swap.  _sector_eigvalsh solves only the occupied sectors, and sectors
+of equal size share one stacked eigvalsh call: a matrix takes at most d calls
+(d = cutoff + 1), of sizes 1 to d, at a cost of the sum of n^3 over its
+occupied sectors instead of d^6.  An all-zero sector, such as one above the
+capacity n_a + n_b <= cutoff, is not solved; its eigenvalues are 0.  One
+dense state gathers its blocks from its 4-index view, once the labelling is
+read from its exact zeros; a chunk of propagated states gathers them from
+its compact layout (damped.py) and is solved in the same calls.  A matrix
+block-diagonal in neither labelling, such as a squeezed state after the
+coupler, falls back to one dense (d^2) x (d^2) solve.
+
+The measures and their gates are written for stacks of states (log2(1 + 2N)
+from partial-transpose eigenvalues, reduced-state entropy, the MeasureValue
+range gate); the scalar public functions are the stack of one.
 """
 
 from __future__ import annotations
@@ -37,7 +46,9 @@ EIG_FLOOR = -1e-9  # eigenvalues above this are treated as rounding noise
 # temporaries (a cutoff-40 matrix is 45 MB) and reads rows contiguously
 _HERM_CHECK_BLOCK = 256
 
-_MEASURE_KINDS = ("entropy", "log_negativity", "negativity", "purity")
+# measure kind -> the range its values are clamped into after the gate
+_CLAMPS = {"entropy": (0.0, math.inf), "log_negativity": (0.0, math.inf),
+           "negativity": (0.0, math.inf), "purity": (0.0, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -69,21 +80,31 @@ class MeasureValue:
     value: float
 
     def __post_init__(self):
-        if self.kind not in _MEASURE_KINDS:
+        if self.kind not in _CLAMPS:
             raise ValidationError(f"unknown measure kind {self.kind!r}")
         v = float(self.value)
-        if self.kind in ("entropy", "log_negativity", "negativity"):
-            if not v >= -1e-9:  # NaN fails here too
-                raise ValidationError(f"{self.kind} must be >= 0, got {v}")
-            v = max(v, 0.0)
-        elif self.kind == "purity":
-            if not (-1e-9 < v <= 1.0 + 1e-9):
-                raise ValidationError(f"purity must lie in (0, 1], got {v}")
-            v = min(max(v, 0.0), 1.0)
+        low, high = _CLAMPS[self.kind]
+        if not low <= v <= high:  # the gate passes a value in range unchanged
+            v = float(_gated(self.kind, np.array([v]))[0])
         object.__setattr__(self, "value", v)
 
     def __float__(self) -> float:
         return self.value
+
+
+def _gated(kind: str, values: np.ndarray) -> np.ndarray:
+    """MeasureValue's gate for an array of one kind of measure: a value
+    within 1e-9 outside the kind's range is rounding noise and is clamped
+    into it; any other value, NaN included, raises ValidationError."""
+    if kind == "purity":
+        ok = (values > -1e-9) & (values <= 1.0 + 1e-9)
+        message = "purity must lie in (0, 1], got {}"
+    else:
+        ok = values >= -1e-9
+        message = kind + " must be >= 0, got {}"
+    if not ok.all():
+        raise ValidationError(message.format(float(values[~ok][0])))
+    return np.clip(values, *_CLAMPS[kind])
 
 
 def _total_photon_grid(cutoff: int) -> np.ndarray:
@@ -136,14 +157,8 @@ class TwoModeDensityMatrix:
         r = _HERM_CHECK_BLOCK
         herm = np.max([np.abs(ent[i:i + r, j:j + r] - ent[j:j + r, i:i + r].conj().T).max()
                        for i in range(0, d * d, r) for j in range(i, d * d, r)])
-        if not herm <= HERM_TOL:
-            raise ValidationError(f"Hermiticity violated by {herm:.3e}")
-        tr = ent.trace()
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise ValidationError(f"trace deviates from 1 by {abs(tr - 1.0):.3e}")
-        evals = _spectrum(ent, d)
-        if not evals.min() >= EIG_FLOOR:
-            raise ValidationError(f"matrix has eigenvalue {evals.min():.3e} below {EIG_FLOOR}")
+        _checked_spectra(np.array([herm]), np.array([ent.trace()]),
+                         lambda _: _spectrum(ent, d)[None])
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
 
@@ -167,6 +182,28 @@ def _sealed(arr) -> bool:
             return True
         arr = arr.base
     return False
+
+
+def _checked_spectra(herm: np.ndarray, trace: np.ndarray, spectra) -> np.ndarray:
+    """The density-matrix gates on a stack of states, with the outcome of
+    checking them one state at a time.  herm and trace hold each state's
+    Hermiticity residual and trace; spectra(k) gives the eigenvalues of the
+    first k states, one row each.  The first state that fails a gate
+    (Hermiticity, unit trace, then the eigenvalue floor; NaN fails each)
+    raises ValidationError, and a state after it is never solved.  Returns
+    the eigenvalues."""
+    early = np.flatnonzero(~((herm <= HERM_TOL) & (np.abs(trace - 1.0) <= TRACE_TOL)))
+    count = int(early[0]) if early.size else herm.size
+    evals = spectra(count) if count else np.zeros((0, 1))
+    low = evals.min(axis=1)
+    late = np.flatnonzero(~(low >= EIG_FLOOR))
+    if late.size:
+        raise ValidationError(f"matrix has eigenvalue {low[late[0]]:.3e} below {EIG_FLOOR}")
+    if early.size:
+        if not herm[count] <= HERM_TOL:
+            raise ValidationError(f"Hermiticity violated by {herm[count]:.3e}")
+        raise ValidationError(f"trace deviates from 1 by {abs(trace[count] - 1.0):.3e}")
+    return evals
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
@@ -198,27 +235,58 @@ def _sectors(d: int, sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table
 
 
+def _sector_grid(d: int, sign: int, transposed: bool) -> tuple[np.ndarray, ...]:
+    """Where the sector blocks of n_a + sign * n_b read a grid matrix rho:
+    slot (i, j) of sector s holds rho's entry at (n_a, n_b, m_a, m_b), four
+    (2d - 1, d, d) index arrays; transposed gives the blocks of the partial
+    transpose, PT((a, b), (a', b')) = rho((a, b'), (a', b)).  Each block is
+    the top-left corner of its slots (mask); sizes holds its edge."""
+    a, b, valid = _sectors(d, sign)
+    row_b, col_b = b[:, :, None], b[:, None, :]
+    if transposed:
+        row_b, col_b = col_b, row_b
+    grid = np.broadcast_arrays(a[:, :, None], row_b, a[:, None, :], col_b)
+    return (*grid, valid[:, :, None] & valid[:, None, :], valid.sum(axis=1))
+
+
+def _by_size(blocks: np.ndarray, sizes: np.ndarray, occupied: np.ndarray) -> list:
+    """The occupied blocks of a padded sector stack (..., 2d - 1, d, d) laid
+    out as by _sector_grid, whether entries or where to gather them from:
+    one stack (..., sectors, n, n) per block size n, in increasing n."""
+    groups = []
+    for n in range(1, blocks.shape[-1] + 1):
+        pick = occupied & (sizes == n)
+        if pick.any():
+            groups.append(blocks[..., pick, :n, :n])
+    return groups
+
+
+def _sector_eigvalsh(groups: Iterable[np.ndarray], count: int) -> np.ndarray:
+    """Eigenvalues of count Hermitian matrices from their sector blocks.
+    groups gives one (count, sectors, n, n) stack per block size n, so the
+    sectors of one size share one eigvalsh call and none is padded.  Row k
+    lists matrix k's eigenvalues group by group.  Only occupied sectors are
+    passed: a sector left out is all zero, and its eigenvalues, all 0, are
+    not listed."""
+    return np.concatenate([np.zeros((count, 0))]
+                          + [_eigvalsh(g).reshape(count, -1) for g in groups], axis=1)
+
+
 def _spectrum(ent: np.ndarray, d: int, transposed: bool = False) -> np.ndarray:
     """Eigenvalues of a grid matrix rho, or of its partial transpose, in no
-    global order.  When rho is block-diagonal in n_a + n_b or n_a - n_b, the
-    blocks of rho, or of its partial transpose in the other labelling, are
-    gathered straight from rho and solved in one stacked call; any other
-    matrix takes one dense solve."""
+    global order; those of an all-zero sector are left out.  When rho is
+    block-diagonal in n_a + n_b or n_a - n_b, the occupied blocks of rho, or
+    of its partial transpose in the other labelling, are gathered from its
+    4-index view for _sector_eigvalsh; any other matrix takes one dense
+    solve."""
     four = ent.reshape(d, d, d, d)  # [n_a, n_b, m_a, m_b]
     nonzero = np.count_nonzero(ent)
     for sign in (1, -1):  # rho block-diagonal in n_a + n_b, then in n_a - n_b
-        a, b, valid = _sectors(d, -sign if transposed else sign)
-        row_b, col_b = b[:, :, None], b[:, None, :]
-        if transposed:  # PT((a, b), (a', b')) = rho((a, b'), (a', b))
-            row_b, col_b = col_b, row_b
-        blocks = np.where(valid[:, :, None] & valid[:, None, :],
-                          four[a[:, :, None], row_b, a[:, None, :], col_b], 0)
+        *grid, mask, sizes = _sector_grid(d, -sign if transposed else sign, transposed)
+        blocks = np.where(mask, four[tuple(grid)], 0)
         if np.count_nonzero(blocks) == nonzero:
-            # pad the short blocks' diagonals above every eigenvalue, so the
-            # padding sorts last and each row's real slots hold its block's
-            pad_row, pad_slot = np.nonzero(~valid)
-            blocks[pad_row, pad_slot, pad_slot] = 1.0 + np.abs(blocks).sum()
-            return _eigvalsh(blocks)[valid]
+            groups = _by_size(blocks[None], sizes, blocks.any(axis=(1, 2)))
+            return _sector_eigvalsh(groups, 1)[0]
     return _eigvalsh(partial_transpose(ent) if transposed else ent)
 
 
@@ -298,16 +366,37 @@ def partial_transpose(rho) -> np.ndarray:
     return np.ascontiguousarray(four.transpose(0, 3, 2, 1)).reshape(d * d, d * d)
 
 
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added left to right as einsum traces do: a
+    zero term anywhere changes nothing, so a row sums alike alone, in any
+    stack, and with its all-zero sectors left out or solved."""
+    if not terms.shape[-1]:
+        return np.zeros(terms.shape[:-1])
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+def _negativities(evals: np.ndarray) -> np.ndarray:
+    """Sum of |negative eigenvalues| per row of partial-transpose eigenvalues."""
+    return -_ordered_sum(np.where(evals < 0.0, evals, 0.0))
+
+
+def _log_negativities(evals: np.ndarray) -> np.ndarray:
+    """log2(1 + 2 * negativity) per row of partial-transpose eigenvalues,
+    through the log_negativity gate."""
+    return _gated("log_negativity", np.log2(1.0 + 2.0 * _negativities(evals)))
+
+
 def negativity(rho) -> float:
     """Sum of |negative eigenvalues| of the partially transposed matrix."""
     ent, d = _as_entries(rho)
-    evals = _spectrum(ent, d, transposed=True)
-    return float(-evals[evals < 0.0].sum())
+    return float(_negativities(_spectrum(ent, d, transposed=True)[None])[0])
 
 
 def log_negativity(rho) -> MeasureValue:
     """log2(1 + 2 * negativity); zero exactly for PPT states."""
-    return MeasureValue("log_negativity", math.log2(1.0 + 2.0 * negativity(rho)))
+    ent, d = _as_entries(rho)
+    value = _log_negativities(_spectrum(ent, d, transposed=True)[None])[0]
+    return MeasureValue("log_negativity", float(value))
 
 
 def pure_log_negativity(state: TwoModePureState) -> MeasureValue:
@@ -328,25 +417,38 @@ def reduced_state(rho, keep: str = "a") -> np.ndarray:
     raise ValidationError(f"keep must be 'a' or 'b', got {keep!r}")
 
 
-def _clamped_probabilities(evals: np.ndarray) -> np.ndarray:
-    if not evals.min() >= EIG_FLOOR:
-        raise ValidationError(f"eigenvalue {evals.min():.3e} below tolerance floor {EIG_FLOOR}")
-    return np.clip(evals, 0.0, 1.0)
+def _entropy_bits(weights: np.ndarray) -> np.ndarray:
+    """Shannon entropy (base 2) over the last axis of non-negative weights,
+    0 log 0 = 0."""
+    logs = np.log2(weights, out=np.zeros(weights.shape), where=weights > 0.0)
+    return _ordered_sum(-weights * logs)
 
 
 def entropy_bits(probabilities: Iterable[float]) -> float:
     """Shannon entropy (base 2) of a set of non-negative weights; 0 log 0 = 0."""
-    p = np.asarray(list(probabilities), dtype=float)
-    p = p[p > 0.0]
-    if p.size == 0:
-        return 0.0
-    return float(-(p * np.log2(p)).sum())
+    return float(_entropy_bits(np.asarray(list(probabilities), dtype=float)))
+
+
+def _entropies(sigmas: np.ndarray) -> np.ndarray:
+    """Entropies in bits of a stack of single-mode density matrices
+    (count, n, n).  Each must be Hermitian within HERM_TOL, of unit trace
+    within TRACE_TOL and without an eigenvalue below EIG_FLOOR, or
+    ValidationError is raised as _checked_spectra does; eigenvalues above
+    the floor are clamped into [0, 1]."""
+    herm = np.abs(sigmas - sigmas.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    evals = _checked_spectra(herm, np.trace(sigmas, axis1=-2, axis2=-1),
+                             lambda count: _eigvalsh(sigmas[:count]))
+    return _entropy_bits(np.clip(evals, 0.0, 1.0))
 
 
 def von_neumann_entropy(sigma: np.ndarray) -> MeasureValue:
-    """Entropy in bits of a single-mode density matrix."""
-    evals = _clamped_probabilities(_eigvalsh(np.asarray(sigma, dtype=complex)))
-    return MeasureValue("entropy", entropy_bits(evals))
+    """Entropy in bits of a single-mode density matrix; anything else (not
+    square, not Hermitian, trace not 1, a negative eigenvalue) raises
+    ValidationError."""
+    mat = np.asarray(sigma, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise ValidationError(f"a single-mode density matrix is square, got shape {mat.shape}")
+    return MeasureValue("entropy", float(_entropies(mat[None])[0]))
 
 
 def purity(rho) -> MeasureValue:

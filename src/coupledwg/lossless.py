@@ -23,6 +23,7 @@ from .fock import (
     MeasureValue,
     TwoModeDensityMatrix,
     TwoModePureState,
+    _log_negativities,
     _sectors,
     _total_photon_grid,
     entropy_bits,
@@ -203,9 +204,8 @@ def entropy_closed(total: int, jt: float) -> MeasureValue:
 
 def log_negativity_closed(total: int, jt: float) -> MeasureValue:
     """Log-negativity of the evolved |0, N> state from the closed spectrum."""
-    evals = pt_spectrum_closed(total, jt)
-    neg = float(-evals[evals < 0.0].sum())
-    return MeasureValue("log_negativity", math.log2(1.0 + 2.0 * neg))
+    value = _log_negativities(pt_spectrum_closed(total, jt)[None])[0]
+    return MeasureValue("log_negativity", float(value))
 
 
 def noon_log_negativity(total: int, jt: float) -> MeasureValue:

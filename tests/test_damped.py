@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,8 +24,12 @@ from coupledwg.errors import CapacityError, NumericalError, TruncationError, Val
 from coupledwg.fock import (
     TwoModeDensityMatrix,
     fock_state,
+    log_negativity,
     noon_state,
+    purity,
+    reduced_state,
     state_from_amplitudes,
+    von_neumann_entropy,
 )
 from coupledwg.lossless import CouplerParams, entropy_closed, evolve_lossless_dm, \
     pt_spectrum_closed
@@ -213,7 +218,7 @@ def test_propagator_matches_normal_mode_route():
                     assert np.max(np.abs(state.entries - want)) <= 1e-12, (rho.cutoff, p, t)
 
 
-@pytest.mark.parametrize("chunk_bytes", [damped._CHUNK_BYTES, 1 << 14])
+@pytest.mark.parametrize("chunk_bytes", [damped._CHUNK_BYTES, 1 << 18, 1 << 14])
 def test_batch_matches_scalar_calls(chunk_bytes, monkeypatch):
     # a state does not depend on the chunk of the grid it was built in
     monkeypatch.setattr(damped, "_CHUNK_BYTES", chunk_bytes)
@@ -271,7 +276,8 @@ def test_batch_gates(monkeypatch):
 
 
 def test_batch_memory_does_not_grow_with_the_grid(monkeypatch):
-    # drawing the first state of a 10^6-point grid builds one chunk of it
+    # drawing the first state, or the first chunk of measures, of a
+    # 10^6-point grid builds one chunk of it
     rho = TwoModeDensityMatrix.from_pure(noon_state(10, 10))
     p = DampedParams(0.3, 0.7, 0.05)
     evolve_damped_exact(rho, p, 0.5)  # fill the caches first
@@ -283,17 +289,110 @@ def test_batch_memory_does_not_grow_with_the_grid(monkeypatch):
         return stack(terms, params, cutoff, times)
     monkeypatch.setattr(damped, "_sector_stack", one_chunk)
     times = np.linspace(0.0, 50.0, 10 ** 6)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        first = next(evolve_damped_exact(rho, p, times))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert np.max(np.abs(first.entries - rho.entries)) <= 1e-13
-    # one dense state is 234 kB, and validating it takes about four; any
-    # array over the grid takes 1 MB (bool) to 16 MB (complex)
-    assert peak < 6 * rho.entries.nbytes
+    for draw in (next, lambda states: next(states.measures())):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            first = draw(evolve_damped_exact(rho, p, times))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        if draw is next:
+            assert np.max(np.abs(first.entries - rho.entries)) <= 1e-13
+        else:  # NOON-10 at t = 0 carries one ebit and is pure
+            assert 0 < first[0].size < 1000
+            assert [column[0] for column in first] == pytest.approx([1.0, 1.0, 1.0], abs=1e-12)
+        # one dense state is 234 kB, and validating it takes about four; any
+        # array over the grid takes 1 MB (bool) to 16 MB (complex)
+        assert peak < 6 * rho.entries.nbytes
+
+
+def _per_state_columns(rho, p, times):
+    states = list(evolve_damped_exact(rho, p, times))
+    return [np.array([float(f(state)) for state in states]) for f in (
+        log_negativity, lambda state: von_neumann_entropy(reduced_state(state)), purity)]
+
+
+def _column_inputs():
+    for n in range(1, 9):
+        for extra in (0, 2):
+            yield noon_state(n, n + extra)
+            yield fock_state(n // 2, n - n // 2, n + extra)
+    # sector-mixing: its states take the dense route
+    yield state_from_amplitudes({(0, 0): 1.0, (1, 2): 0.5j, (2, 0): -0.3}, 3)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.05, 1e300])
+def test_measures_match_per_state_route(gamma):
+    times = np.linspace(0.0, 6.0, 13)
+    p = DampedParams(0.3, 0.7, gamma)
+    for state in _column_inputs():
+        rho = TwoModeDensityMatrix.from_pure(state)
+        chunks = list(evolve_damped_exact(rho, p, times).measures())
+        columns = np.concatenate(chunks, axis=1)
+        assert columns.shape == (3, times.size)
+        for got, want in zip(columns, _per_state_columns(rho, p, times)):
+            assert np.all(np.abs(got - want) <= 1e-12 + 1e-9 * np.abs(want)), (state, gamma)
+        if gamma == 1e300:  # the vacuum after t = 0
+            assert np.array_equal(columns[:, 1:], np.tile([[0.0], [0.0], [1.0]], 12))
+
+
+def _message_shape(exc):
+    return re.sub(r"nan|-?[0-9][0-9.e+-]*", "#", str(exc))
+
+
+def test_measure_gates_fire_for_one_bad_state(monkeypatch):
+    # each corruption of one state of a chunk trips the gate that single-state
+    # validation trips, with the same error
+    rho = TwoModeDensityMatrix.from_pure(noon_state(2, 2))
+    d = rho.cutoff + 1
+    p = DampedParams(0.3, 0.7, 0.05)
+    times = np.linspace(0.0, 3.0, 7)
+    terms = evolve_damped_exact(rho, p, times)._terms
+    tables = damped._measure_tables(terms, d)
+    (chunk,) = damped._propagate(rho, terms, p, times, tables.gathered)
+    off = np.flatnonzero(terms.rows != terms.cols)[0]
+
+    def herm(row):
+        row[off] += 1e-9
+
+    def trace(row):
+        row *= 1.001
+
+    def floor(row):  # Hermitian with unit trace, but the vacuum population is -0.2
+        shift = 0.2 + row[terms.diag[0]].real
+        row[terms.diag[0]] -= shift
+        row[terms.diag[-1]] += shift
+
+    def nan(row):
+        row[off] = np.nan
+
+    for corrupt, gate in ((herm, "Hermiticity"), (trace, "trace"),
+                          (floor, "eigenvalue"), (nan, "Hermiticity")):
+        bad = chunk.copy()
+        corrupt(bad[3])
+        dense = np.zeros((d * d, d * d), dtype=complex)
+        dense[terms.rows, terms.cols] = bad[3]
+        with pytest.raises(ValidationError, match=gate) as single:
+            TwoModeDensityMatrix(rho.cutoff, dense)
+        with pytest.raises(ValidationError) as batch:
+            damped._chunk_measures(bad, terms, tables, d)
+        assert _message_shape(batch.value) == _message_shape(single.value)
+    # the first bad state in time decides, whichever gate it fails
+    bad = chunk.copy()
+    trace(bad[2])
+    herm(bad[4])
+    with pytest.raises(ValidationError, match="trace"):
+        damped._chunk_measures(bad, terms, tables, d)
+    # a trace deficit at one time of the chunk
+    heating = damped.loss_channel_factors
+    monkeypatch.setattr(damped, "loss_channel_factors",
+                        lambda gamma, t: (0.0, 1.0, 0.5) if t == 1.5 else heating(gamma, t))
+    with pytest.raises(TruncationError) as single:
+        evolve_damped_exact(rho, p, 1.5)
+    with pytest.raises(TruncationError) as batch:
+        list(evolve_damped_exact(rho, p, times).measures())
+    assert str(batch.value) == str(single.value)
 
 
 def test_cached_mode_rotation_is_read_only():

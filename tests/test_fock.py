@@ -195,6 +195,27 @@ def test_entropy_clamps_rounding_noise_but_rejects_real_negativity():
         von_neumann_entropy(np.diag([1.5, -0.5]))
 
 
+def test_entropy_refuses_what_is_not_a_single_mode_density_matrix():
+    for sigma, message in (([[0.5, 0.9], [0.0, 0.5]], "Hermiticity"),
+                           (np.diag([2.0, 0.0]), "trace"),
+                           (np.diag([0.6, 0.5]), "trace"),
+                           (np.ones(3) / 3, "square"),
+                           (np.zeros((0, 0)), "square"),
+                           (np.eye(2)[None] / 2, "square")):
+        with pytest.raises(ValidationError, match=message):
+            von_neumann_entropy(np.asarray(sigma))
+
+
+def test_measure_gate_on_arrays():
+    values = np.array([0.3, -5e-10, 1.0 + 5e-10, 1.0])
+    assert np.array_equal(fock._gated("purity", values),
+                          [float(MeasureValue("purity", v)) for v in values])
+    with pytest.raises(ValidationError, match="entropy must be >= 0, got -0.2"):
+        fock._gated("entropy", np.array([0.1, -0.2, np.nan]))
+    with pytest.raises(ValidationError, match="purity must lie in"):
+        fock._gated("purity", np.array([0.5, np.nan]))
+
+
 def test_measure_value_guards():
     assert float(MeasureValue("entropy", 0.5)) == 0.5
     with pytest.raises(ValidationError):
@@ -375,15 +396,29 @@ def _with_off_sector_coherence():
     return TwoModeDensityMatrix(3, ent)
 
 
+def _with_zeros(evals, size):
+    # the eigenvalues 0 of the all-zero sectors a sector solve leaves out
+    return np.sort(np.concatenate((evals, np.zeros(size - evals.size))))
+
+
 def _assert_matches_dense(rho):
     d = rho.cutoff + 1
     ent = rho.entries
-    own = np.sort(fock._spectrum(ent, d))
+    own = _with_zeros(fock._spectrum(ent, d), d * d)
     assert np.abs(own - np.linalg.eigvalsh(ent)).max() <= 1e-12
     dense_pt = np.linalg.eigvalsh(partial_transpose(ent))
-    pt = np.sort(fock._spectrum(ent, d, transposed=True))
+    pt = _with_zeros(fock._spectrum(ent, d, transposed=True), d * d)
     assert np.abs(pt - dense_pt).max() <= 1e-12
     assert abs(negativity(rho) - float(-dense_pt[dense_pt < 0.0].sum())) <= 1e-12
+
+
+def _stacked_spectra(ents, d, sign, transposed):
+    # one solve for a stack of states, over the sectors any of them occupies
+    *grid, mask, sizes = fock._sector_grid(d, sign, transposed)
+    blocks = np.stack([np.where(mask, ent.reshape(d, d, d, d)[tuple(grid)], 0)
+                       for ent in ents])
+    groups = fock._by_size(blocks, sizes, blocks.any(axis=(0, 2, 3)))
+    return fock._sector_eigvalsh(groups, len(ents))
 
 
 @pytest.mark.parametrize("kind", ["sum", "difference", "fallback"])
@@ -398,7 +433,22 @@ def test_sector_spectrum_matches_dense_solve(kind, solved_widths):
         d = rho.cutoff + 1
         solved_widths.clear()
         _assert_matches_dense(rho)
-        assert set(solved_widths) == ({d * d} if kind == "fallback" else {d, d * d})
+        if kind == "fallback":
+            assert set(solved_widths) == {d * d}
+        else:  # only the dense references are d^2 wide
+            assert max(w for w in solved_widths if w != d * d) <= d
+    if kind == "fallback":
+        return
+    sign = 1 if kind == "sum" else -1
+    for cutoff in {rho.cutoff for rho in states}:
+        stack = [rho.entries for rho in states if rho.cutoff == cutoff]
+        d = cutoff + 1
+        for transposed in (False, True):
+            rows = _stacked_spectra(stack, d, -sign if transposed else sign, transposed)
+            assert rows.shape[0] == len(stack) > 1
+            for ent, row in zip(stack, rows):
+                dense = np.linalg.eigvalsh(partial_transpose(ent) if transposed else ent)
+                assert np.abs(_with_zeros(row, d * d) - dense).max() <= 1e-12
 
 
 def test_negative_eigenvalue_in_one_sector_is_rejected(solved_widths):
