@@ -77,7 +77,6 @@ from .damped import (
     purity_closed,
 )
 from .gaussian import (
-    GaussianState,
     is_physical,
     log_negativity_gaussian,
     simon_separable,
@@ -109,7 +108,6 @@ __all__ = [
     "DampedParams",
     "DeviationReport",
     "DisentangleParams",
-    "GaussianState",
     "IntegrationError",
     "IntegratorConfig",
     "MeasureValue",

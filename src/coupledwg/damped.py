@@ -7,41 +7,44 @@ propagator and E single-mode amplitude damping, the same on both modes.  E
 is the pure-loss case gamma_+ = 0 of the su(1,1) ordered form, whose
 number-basis kernel is then the Kraus channel A_k|n> = sqrt(C(n, k))
 gamma_-^{k/2} sqrt(gamma_3)^{n-k} |n-k> (Chuang, Leung & Yamamoto, PRA 56,
-1114, 1997), with the weights from loss_channel_factors.  Pure loss never
-raises photon number, so for inputs supported on the capacity region
-n_a + n_b <= cutoff the grid evolution matches the untruncated dynamics to
-machine precision.
+1114, 1997).  Its weights, sqrt(gamma_3) = e^{-gamma t} and gamma_- =
+1 - e^{-2 gamma t}, come in closed form from loss_channel_factors for a
+whole chunk of times at once; the ordered form (_su11_factorization) is
+tested against them.  Once e^{-gamma t} underflows the weights give exactly
+the vacuum.  Pure loss never raises photon number, so for inputs supported
+on the capacity region n_a + n_b <= cutoff the grid evolution matches the
+untruncated dynamics to machine precision.
 
 Both factors keep photon-number sectors: loss takes the block pair (N, N')
 of rho to (N - k, N' - k) for k photons lost in all, with a t-independent
-weight times |gamma_-|^k sqrt(gamma_3)^{N-k} conj(sqrt(gamma_3))^{N'-k}, and
-U is V_N diag(e^{-i (omega N + J lam) t}) V_N^T on sector N, from the cached
+weight times gamma_-^k sqrt(gamma_3)^{N+N'-2k}, and U is
+V_N diag(e^{-i (omega N + J lam) t}) V_N^T on sector N, from the cached
 sector eigensystem.  So the time dependence is scalar per (t, k) and per
 eigenvector slot.
 
 Cost model: once per call, the loss tables are built from the nonzero
 entries of rho only, one row per k, over the block pairs that loss reaches
-from them (a NOON or Fock input of N photons has N + 1), and turned into the
-coupler eigenbasis.  A time grid is then a handful of stacked products on
-(times x entries) arrays: the tables weighted by |gamma_-|^k, the slot
-phases, and each block rotated back.  No dense (d^2 x d^2) product is done.
-Each chunk of the grid is checked for its trace deficit, renormalized and
-Hermitized on the compact layout.  Drawn as states, each is then scattered
-into its grid matrix and validated one time at a time.  Drawn as measures
-(DampedStates.measures), the chunk is validated and measured on the layout
-itself: t-independent tables gather the occupied sector blocks of all its
-states, and of their partial transposes, for fock._sector_eigvalsh, one
-stacked solve per block size, and the diagonals of the reduced states.  No
-dense state is built then.  The grid is walked in chunks of _CHUNK_BYTES,
-so at most one chunk, and one dense state when states are drawn, is alive
-however many times are asked for.
+from them (a NOON or Fock input of N photons has N + 1), and turned into
+the coupler eigenbasis.  A time grid is then a handful of stacked products
+on (times x entries) arrays: the tables weighted by gamma_-^k, the slot
+phases, and each block rotated back.  No dense (d^2 x d^2) product is done,
+and no Python loop runs over the times.  Each chunk of the grid is checked
+for its trace deficit, renormalized and Hermitized on the compact layout.
+Drawn as states, each is then scattered into its grid matrix and validated
+one time at a time.  Drawn as measures (DampedStates.measures), the chunk is
+validated and measured on the layout itself: t-independent tables gather
+the occupied sector blocks of all its states, and of their partial
+transposes, for fock._sector_eigvalsh, one stacked solve per block size,
+and the diagonals of the reduced states.  No dense state is built then.  The
+grid is walked in chunks of _CHUNK_BYTES, so at most one chunk, and one
+dense state when states are drawn, is alive however many times are asked
+for.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, NamedTuple
@@ -78,10 +81,6 @@ from .lossless import (
 )
 
 TRACE_DEFICIT_LIMIT = 1e-10
-# Past this gamma t every entry but the vacuum population carries a factor
-# e^{-gamma t} below the smallest normal double, and the ordered-form factors
-# overflow soon after (near 709.8): the channel is at its vacuum limit.
-VACUUM_LIMIT_GAMMA_T = -math.log(sys.float_info.min)
 # bytes of compact states, their time factors and the sector blocks gathered
 # from them built at once, about four dense states at cutoff 10: a grid is
 # walked in chunks of this size, so memory does not grow with the number of
@@ -151,8 +150,9 @@ def _su11_factorization(eta_plus: complex, eta_3: complex, eta_minus: complex):
     + eta_- K_-) for su(1,1) generators.
 
     Returns (gamma_plus, g3_root, gamma_minus, phi) with gamma_3 = g3_root**2;
-    the root is what the number-basis kernel consumes, and computing it
-    directly sidesteps any square-root branch choice.
+    computing the root directly sidesteps any square-root branch choice.  At
+    eta = (0, -2 gamma t, 2 gamma t) this is the pure-loss channel, whose
+    closed form loss_channel_factors gives.
     """
     phi = cmath.sqrt(eta_3 * eta_3 / 4.0 - eta_plus * eta_minus)
     try:
@@ -207,12 +207,16 @@ def disentangle_params(p: DampedParams, t: float) -> DisentangleParams:
                              g_plus, g3_root * g3_root, g_minus)
 
 
-def loss_channel_factors(gamma: float, t: float) -> tuple[complex, complex, complex]:
+def loss_channel_factors(gamma: float, t: float | np.ndarray):
     """(gamma_plus, sqrt(gamma_3), gamma_minus) for one mode with pure photon
-    loss at rate gamma: analytically (0, e^{-gamma t}, 1 - e^{-2 gamma t})."""
-    g_plus, g3_root, g_minus, _ = _su11_factorization(
-        0.0, -2.0 * gamma * t, 2.0 * gamma * t)
-    return g_plus, g3_root, g_minus
+    loss at rate gamma, at one time t or elementwise over an array of times:
+    (0, e^{-gamma t}, 1 - e^{-2 gamma t}).  This is the closed form of the
+    su(1,1) ordered form at eta = (0, -2 gamma t, 2 gamma t), which a test
+    holds it to.  A gamma t that overflows a float gives the vacuum limit
+    (0, 0, 1)."""
+    with np.errstate(over="ignore"):
+        rate = gamma * np.asarray(t, dtype=float)
+        return 0.0, np.exp(-rate), -np.expm1(-2.0 * rate)
 
 
 @lru_cache(maxsize=None)
@@ -318,23 +322,19 @@ def _sector_terms(ent: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 def _sector_stack(terms: _SectorTerms, p: DampedParams, cutoff: int,
                   times: np.ndarray) -> np.ndarray:
     """rho(t) on the compact layout, one row per time: the loss terms summed
-    with weights |gamma_-|^k, eigenvector i of sector M scaled by
+    with weights gamma_-^k, eigenvector i of sector M scaled by
     sqrt(gamma_3)^M and its coupler phase e^{-i (omega M + J lam_i) t} on the
     left and by the conjugate on the right, then every block rotated out of
-    the eigenbasis."""
-    coupler = p.coupler()
-    g_minus_abs = np.empty(times.size)
-    g3_root = np.empty(times.size, dtype=complex)
-    for n, t in enumerate(times.tolist()):
-        _require_finite_phases(cutoff, coupler, t)
-        _, g3_root[n], g_minus = loss_channel_factors(p.gamma, t)
-        g_minus_abs[n] = abs(g_minus)
+    the eigenbasis.  The phases grow with t, so they are checked at the
+    largest time only."""
+    _require_finite_phases(cutoff, p.coupler(), float(times.max()))
+    _, g3_root, g_minus = loss_channel_factors(p.gamma, times)
     column = times[:, None]
     # every sector in use is some pair's M: both orders of each pair are laid out
     amp = {m: g3_root[:, None] ** m * np.exp(-1j * p.omega * m * column)
            * np.exp(-1j * p.J * column * _sector_eigensystem(m)[0])
            for m in {m for m, _, _ in terms.pairs}}
-    stack = (g_minus_abs[:, None] ** np.arange(cutoff + 1)) @ terms.lost
+    stack = (g_minus[:, None] ** np.arange(cutoff + 1)) @ terms.lost
     for m, m2, sl in terms.pairs:
         # a view into stack: the pair's entries are contiguous in each row
         block = stack[:, sl].reshape(times.size, m + 1, m2 + 1)
@@ -348,49 +348,34 @@ def _propagate(rho: TwoModeDensityMatrix, terms: _SectorTerms, p: DampedParams,
                times: np.ndarray, gathered: int = 0) -> Iterator[np.ndarray]:
     """rho(t) on the compact layout, one chunk of the grid at a time, one row
     per time: each state has passed the trace-deficit gate and is
-    renormalized and Hermitized, and past the vacuum limit it is the vacuum.
-    A chunk holds as many times as _CHUNK_BYTES allows, counting per time
-    the cutoff + 1 loss weights, three compact states (the stack, its
-    Hermitized copy and the vacuum rows' copy) and the entries that the
-    consumer gathers from each state.  On a trace deficit the states before
+    renormalized and Hermitized.  A chunk holds as many times as _CHUNK_BYTES
+    allows, counting per time the cutoff + 1 loss weights, three compact
+    states (the stack, its Hermitized copy and the consumer's padded copy)
+    and the entries that the consumer gathers from each state.  The stack is
+    freed before a chunk is handed on.  On a trace deficit the states before
     it come out first."""
     step = max(1, _CHUNK_BYTES // (16 * (3 * terms.partner.size + rho.cutoff + 1 + gathered)))
     for begin in range(0, times.size, step):
-        states, error = _chunk_states(terms, p, rho.cutoff, times[begin:begin + step])
+        stack = _sector_stack(terms, p, rho.cutoff, times[begin:begin + step])
+        trace = stack[:, terms.diag].real.sum(axis=1)
+        deficit = np.abs(trace - 1.0)
+        bad = np.flatnonzero(deficit > TRACE_DEFICIT_LIMIT)
+        error = None
+        if bad.size:
+            error = TruncationError(
+                f"probability {deficit[bad[0]]:.3e} left the grid; raise the cutoff above "
+                f"{rho.cutoff}", tail_estimate=float(deficit[bad[0]]))
+            stack, trace = stack[:bad[0]], trace[:bad[0]]
+        stack /= trace[:, None]
+        states = stack[:, terms.partner]
+        np.conjugate(states, out=states)
+        states += stack
+        states *= 0.5
+        del stack
         if states.shape[0]:
             yield states
         if error is not None:
             raise error
-
-
-def _chunk_states(terms: _SectorTerms, p: DampedParams, cutoff: int, chunk: np.ndarray):
-    """The rows of _propagate for one chunk of times, and the TruncationError
-    of its first time with a trace deficit, before which the rows stop; the
-    stack they are built from is freed on return."""
-    with np.errstate(over="ignore"):
-        live = chunk * p.gamma <= VACUUM_LIMIT_GAMMA_T
-    stack = _sector_stack(terms, p, cutoff, chunk[live])
-    trace = stack[:, terms.diag].real.sum(axis=1)
-    deficit = np.abs(trace - 1.0)
-    bad = np.flatnonzero(deficit > TRACE_DEFICIT_LIMIT)
-    error = None
-    if bad.size:
-        error = TruncationError(
-            f"probability {deficit[bad[0]]:.3e} left the grid; raise the cutoff above "
-            f"{cutoff}", tail_estimate=float(deficit[bad[0]]))
-        live = live[:np.flatnonzero(live)[bad[0]]]
-        stack, trace = stack[:bad[0]], trace[:bad[0]]
-    stack /= trace[:, None]
-    states = stack[:, terms.partner]
-    np.conjugate(states, out=states)
-    states += stack
-    states *= 0.5
-    if not live.all():
-        rows = np.zeros((live.size, terms.partner.size), dtype=complex)
-        rows[~live, 0] = 1.0
-        rows[live] = states
-        states = rows
-    return states, error
 
 
 class _MeasureTables(NamedTuple):
@@ -507,8 +492,8 @@ def evolve_damped_exact(rho: TwoModeDensityMatrix, p: DampedParams, t: float | n
     iterator over the states at its times, in order, each built as it is
     drawn, so memory does not grow with the number of times; its measures()
     gives the E_N, S and purity columns instead.  No time stepping is
-    involved.  Beyond gamma t = VACUUM_LIMIT_GAMMA_T the state is the
-    vacuum."""
+    involved.  Once e^{-gamma t} underflows to 0 (gamma t above about 745)
+    the loss weights give exactly the vacuum."""
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValidationError(f"t must be a number or a 1-D array, got shape {times.shape}")
@@ -567,6 +552,14 @@ def purity_closed(p: DampedParams, t: float, variant: str = "as-printed") -> Mea
     The two variants differ in the mixing term of the denominator:
     "as-printed" uses gamma + i J t, "rate-times-t" uses (gamma + i J) t.
     The real part is clamped into [0, 1].
+
+    This is the paper's curve family, not the purity of the dynamics.  At
+    J = 1, gamma in {0.05, 0.3} and 12 times in [0.1, 5] either variant
+    differs from purity(evolve_damped_exact(...)) by up to 0.477 for |1,0>
+    and up to 0.727 for |1,1> and NOON-2; at J = 1, gamma = 0.05, t = 5 it
+    gives 1.0 where the exact purity of |1,0> is 0.523.  Before the clamp
+    the "as-printed" value exceeds 1 on 445 of the 1200 nonzero-time points
+    of figure 5a (max 1.049) and on 132 of 1200 in figure 5b (max 1.056).
     """
     if variant not in _PURITY_VARIANTS:
         raise ValidationError(f"variant must be one of {_PURITY_VARIANTS}, got {variant!r}")

@@ -19,7 +19,6 @@ restricted to n_a + n_b <= cutoff, gives 3.5e-3 at cutoff 8, 2.8e-4 at 12,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,29 +31,7 @@ PHYSICAL_TOL = 1e-9
 DISCRIMINANT_FLOOR = -1e-10
 
 
-@dataclass(frozen=True)
-class GaussianState:
-    """A 4x4 real symmetric covariance matrix; symmetry is enforced here,
-    physicality by the constructors below."""
-
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        cov = np.array(self.covariance, dtype=float)
-        if cov.shape != (4, 4):
-            raise ValidationError(f"covariance must be 4x4, got {cov.shape}")
-        if not np.all(np.isfinite(cov)):
-            raise ValidationError("covariance has non-finite entries")
-        if np.max(np.abs(cov - cov.T)) > 1e-10:
-            raise ValidationError("covariance is not symmetric")
-        cov = 0.5 * (cov + cov.T)
-        cov.setflags(write=False)
-        object.__setattr__(self, "covariance", cov)
-
-
 def _as_covariance(state) -> np.ndarray:
-    if isinstance(state, GaussianState):
-        return state.covariance
     cov = np.asarray(state, dtype=float)
     if cov.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 covariance, got shape {cov.shape}")

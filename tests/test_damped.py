@@ -111,6 +111,25 @@ def test_loss_channel_factors_match_exact_forms():
     assert loss_channel_factors(0.0, 3.0) == (0.0, 1.0, 0.0)
 
 
+def test_ordered_form_referees_the_closed_weights():
+    # the su(1,1) ordered form at eta = (0, -2 gamma t, 2 gamma t), on both
+    # sides of its series switch at |phi| = 1e-6, up to gamma t = 700
+    gammas = (1e-9, 2e-6, 0.05, 1.0, 100.0)
+    times = np.array([1e-4, 0.3, 2.0, 7.0])
+    for gamma in gammas:
+        closed = loss_channel_factors(gamma, times)
+        for n, t in enumerate(times.tolist()):
+            g_plus, g3_root, g_minus, _ = damped._su11_factorization(
+                0.0, -2.0 * gamma * t, 2.0 * gamma * t)
+            assert g_plus == 0.0 and closed[0] == 0.0
+            for ordered, array_value, scalar_value in zip(
+                    (g3_root, g_minus), closed[1:], loss_channel_factors(gamma, t)[1:]):
+                for value in (array_value[n], scalar_value):
+                    assert abs(value - ordered) <= 1e-13 * abs(ordered), (gamma, t)
+    phis = [gamma * t for gamma in gammas for t in times]
+    assert min(phis) < 1e-6 < max(phis)
+
+
 def test_factorization_small_argument_continuity():
     # across the series/direct switch the root coefficient stays smooth
     for eps in (1e-9, 1e-7, 1e-5):
@@ -131,12 +150,12 @@ def test_disentangle_fixture_values():
 
 
 def test_factorization_overflow_is_typed():
-    # gamma t = 1000 overflows cosh(phi); gamma t = 710 leaves cosh finite but
-    # the ordered-form coefficients not
+    # gamma t = 1000 overflows cosh(phi) in the ordered form; the closed-form
+    # loss weights stay finite there and beyond
     with pytest.raises(NumericalError):
         disentangle_params(DampedParams(0.0, 1.0, 200.0), 5.0)
-    with pytest.raises(NumericalError):
-        loss_channel_factors(1.0, 710.0)
+    assert loss_channel_factors(1.0, 710.0) == (0.0, math.exp(-710.0), 1.0)
+    assert loss_channel_factors(1e300, 1e300) == (0.0, 0.0, 1.0)
 
 
 def test_disentangle_boundary_identities():
@@ -222,30 +241,48 @@ def test_propagator_matches_normal_mode_route():
 def test_batch_matches_scalar_calls(chunk_bytes, monkeypatch):
     # a state does not depend on the chunk of the grid it was built in
     monkeypatch.setattr(damped, "_CHUNK_BYTES", chunk_bytes)
-    times = np.concatenate((np.linspace(0.0, 8.0, 37), [40.0, 0.3]))
+    grids = ((0.05, np.concatenate((np.linspace(0.0, 8.0, 37), [40.0, 0.3]))),
+             # unsorted, across gamma t in [700, 760], where e^{-gamma t} underflows
+             (100.0, np.array([7.6, 7.0, 0.01, 7.46, 7.3, 7.05, 7.5])))
     for rho in _grid_inputs():
-        p = DampedParams(0.7, 1.3, 0.05)
-        batch = evolve_damped_exact(rho, p, times)
-        for t in times:
-            want = evolve_damped_exact(rho, p, float(t)).entries
-            assert np.max(np.abs(next(batch).entries - want)) <= 1e-13, (rho.cutoff, t)
-        assert next(batch, None) is None
+        for gamma, times in grids:
+            p = DampedParams(0.7, 1.3, gamma)
+            batch = evolve_damped_exact(rho, p, times)
+            for t in times:
+                want = evolve_damped_exact(rho, p, float(t)).entries
+                assert np.max(np.abs(next(batch).entries - want)) <= 1e-13, (rho.cutoff, t)
+            assert next(batch, None) is None
 
 
 def test_batch_crossing_the_vacuum_limit():
+    # e^{-gamma t} underflows to 0 from gamma t = 745.2 on
     rho = TwoModeDensityMatrix.from_pure(noon_state(2, 2))
     params = DampedParams(0.0, 1.0, 200.0)
-    limit = damped.VACUUM_LIMIT_GAMMA_T / params.gamma
     vacuum = np.zeros_like(rho.entries)
     vacuum[0, 0] = 1.0
-    times = np.array([0.001, 1.001 * limit, 0.002, 5.0])
+    times = np.array([0.001, 3.73, 3.5, 0.002, 5.0])  # gamma t 0.2, 746, 700, 0.4, 1000
     for t, state in zip(times, evolve_damped_exact(rho, params, times)):
-        if t > limit:
+        if params.gamma * t >= 746.0:
             assert np.array_equal(state.entries, vacuum)
+            continue
+        if params.gamma * t >= 700.0:
+            assert np.max(np.abs(state.entries - vacuum)) <= 1e-300
         else:
             assert abs(state.entries[0, 0] - 1.0) > 0.1
-            assert np.array_equal(state.entries,
-                                  evolve_damped_exact(rho, params, float(t)).entries)
+        assert np.array_equal(state.entries,
+                              evolve_damped_exact(rho, params, float(t)).entries)
+
+
+def _heating_where(hot):
+    # the loss weights, but gamma_- = 0.5 with sqrt(gamma_3) = 1 at the times
+    # where hot(t) holds: that channel's trace on |n><n| is 1.5^n, so it
+    # creates probability
+    loss = damped.loss_channel_factors
+
+    def factors(gamma, t):
+        _, g3_root, g_minus = loss(gamma, t)
+        return 0.0, np.where(hot(t), 1.0, g3_root), np.where(hot(t), 0.5, g_minus)
+    return factors
 
 
 def test_batch_gates(monkeypatch):
@@ -266,9 +303,7 @@ def test_batch_gates(monkeypatch):
     with pytest.raises(CapacityError):
         evolve_damped_exact(corner, P, np.array([0.0, 0.5]))
     # the channel heats only from t = 1 on: the states before it come out
-    heating = damped.loss_channel_factors
-    monkeypatch.setattr(damped, "loss_channel_factors",
-                        lambda gamma, t: (0.0, 1.0, 0.5) if t >= 1.0 else heating(gamma, t))
+    monkeypatch.setattr(damped, "loss_channel_factors", _heating_where(lambda t: t >= 1.0))
     states = evolve_damped_exact(rho, P, np.array([0.0, 0.5, 1.0, 1.5]))
     assert len([next(states), next(states)]) == 2
     with pytest.raises(TruncationError):
@@ -322,9 +357,9 @@ def _column_inputs():
     yield state_from_amplitudes({(0, 0): 1.0, (1, 2): 0.5j, (2, 0): -0.3}, 3)
 
 
-@pytest.mark.parametrize("gamma", [0.0, 0.05, 1e300])
+@pytest.mark.parametrize("gamma", [0.0, 0.05, 128.0, 1e300])
 def test_measures_match_per_state_route(gamma):
-    times = np.linspace(0.0, 6.0, 13)
+    times = np.linspace(0.0, 6.0, 13)  # at gamma = 128, gamma t runs to 768
     p = DampedParams(0.3, 0.7, gamma)
     for state in _column_inputs():
         rho = TwoModeDensityMatrix.from_pure(state)
@@ -385,9 +420,7 @@ def test_measure_gates_fire_for_one_bad_state(monkeypatch):
     with pytest.raises(ValidationError, match="trace"):
         damped._chunk_measures(bad, terms, tables, d)
     # a trace deficit at one time of the chunk
-    heating = damped.loss_channel_factors
-    monkeypatch.setattr(damped, "loss_channel_factors",
-                        lambda gamma, t: (0.0, 1.0, 0.5) if t == 1.5 else heating(gamma, t))
+    monkeypatch.setattr(damped, "loss_channel_factors", _heating_where(lambda t: t == 1.5))
     with pytest.raises(TruncationError) as single:
         evolve_damped_exact(rho, p, 1.5)
     with pytest.raises(TruncationError) as batch:
@@ -451,12 +484,13 @@ def test_large_gamma_t_reaches_vacuum_limit():
     params = DampedParams(0.0, 1.0, 200.0)
     vacuum = np.zeros_like(rho.entries)
     vacuum[0, 0] = 1.0
-    out = evolve_damped_exact(rho, params, 5.0)  # gamma t = 1000
-    assert np.array_equal(out.entries, vacuum)
-    # just below the switch the kernel path already gives the vacuum
-    t_below = 0.999 * damped.VACUUM_LIMIT_GAMMA_T / params.gamma
-    below = evolve_damped_exact(rho, params, t_below)
-    assert np.max(np.abs(below.entries - vacuum)) < 1e-300
+    # once e^{-gamma t} underflows the loss weights give exactly the vacuum
+    for t in (3.73, 5.0):  # gamma t = 746, 1000
+        out = evolve_damped_exact(rho, params, t)
+        assert np.array_equal(out.entries, vacuum)
+    # below that it is the vacuum to far below any tolerance
+    below = evolve_damped_exact(rho, params, 3.5)  # gamma t = 700
+    assert np.max(np.abs(below.entries - vacuum)) <= 1e-300
 
 
 def test_total_photon_number_decays_exponentially():
@@ -487,10 +521,7 @@ def test_corner_support_rejected():
 
 
 def test_truncation_error_on_heating_kernel(monkeypatch):
-    # gamma_- = 0.5 with sqrt(gamma_3) = 1 creates probability: the channel's
-    # trace on |n><n| is 1.5^n
-    monkeypatch.setattr(damped, "loss_channel_factors",
-                        lambda gamma, t: (0.0, 1.0, 0.5))
+    monkeypatch.setattr(damped, "loss_channel_factors", _heating_where(lambda t: t >= 0.0))
     rho = TwoModeDensityMatrix.from_pure(fock_state(1, 0, 1))
     with pytest.raises(TruncationError) as info:
         evolve_damped_exact(rho, P, 1.0)

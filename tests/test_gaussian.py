@@ -7,7 +7,6 @@ from coupledwg.damped import DampedParams
 from coupledwg.errors import NumericalError, ValidationError
 from coupledwg.fock import pure_log_negativity
 from coupledwg.gaussian import (
-    GaussianState,
     is_physical,
     log_negativity_gaussian,
     simon_separable,
@@ -26,24 +25,6 @@ TWO_R_OVER_LN2 = 0.5 / math.log(2.0)  # log-negativity of r=0.25 squeezing
 VAC_EN_G005_T1 = 0.634925164659791
 THERMAL_COV_DIAG = 1.013856679144715     # n=1, r=0.25, gamma=0.1, t=1
 THERMAL_COV_CROSS = 0.4266367518922968
-
-
-def test_state_validation():
-    GaussianState(np.eye(4) / 2)
-    with pytest.raises(ValidationError):
-        GaussianState(np.eye(3))
-    bad = np.eye(4) / 2
-    bad[0, 1] = 0.3
-    with pytest.raises(ValidationError):
-        GaussianState(bad)
-    with pytest.raises(ValidationError):
-        GaussianState(np.full((4, 4), np.nan))
-
-
-def test_covariance_is_read_only():
-    state = GaussianState(np.eye(4) / 2)
-    with pytest.raises(ValueError):
-        state.covariance[0, 0] = 9.0
 
 
 def test_vacuum_symplectic_eigenvalues():
