@@ -13,6 +13,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,14 +29,20 @@ from .errors import CoupledwgError, NumericalError, ToleranceExceeded
 from .fock import (
     StateSpec,
     TwoModeDensityMatrix,
+    _pure_log_negativities,
+    _reduced_entropies,
+    fock_state,
     make_pure_state,
-    pure_log_negativity,
-    von_neumann_entropy,
 )
 from .gaussian import thermal_evolved_covariance, log_negativity_gaussian
 from .lindblad import IntegratorConfig, compare, default_dt, integrate
-from .lossless import CouplerParams, entropy_closed, evolve_lossless, noon_log_negativity
-from .thermal import _VARIANTS as _THERMAL_VARIANTS, ThermalOccupation, thermal_entropy
+from .lossless import (
+    CouplerParams,
+    _entropies_closed,
+    _evolved_measures,
+    _noon_log_negativities,
+)
+from .thermal import _VARIANTS as _THERMAL_VARIANTS, _thermal_entropies
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -178,28 +185,29 @@ def _write_text(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path!r}: {exc}") from None
 
 
-def _pure_reduced_entropy(state) -> float:
-    sigma = state.amplitudes @ state.amplitudes.conj().T
-    return float(von_neumann_entropy(sigma))
-
-
 def _tabulate(path: str | None, first: str, grid: np.ndarray, scale: float,
-              names: list, row: Callable[[float], tuple] | None = None,
-              columns: Callable[[np.ndarray], np.ndarray] | None = None) -> None:
+              names: list, columns: Callable[[np.ndarray], list]) -> None:
     """Write one CSV line per grid point x: scale * x, then the measures
-    under the column names, from row(x) at each point or from columns(grid),
-    one array per name over the whole grid.  The first column is scaled
-    after every value is evaluated, so a measure's own overflow is the error
-    reported."""
-    if columns is None:
-        values = np.array([[float(v) for v in row(float(x))] for x in grid]).T
-    else:
-        values = columns(grid)
+    under the column names, from columns(grid), one array per name over the
+    whole grid.  The first column is scaled after every value is evaluated,
+    so a measure's own overflow is the error reported."""
+    values = columns(grid)
     with np.errstate(over="ignore"):
         scaled = scale * grid
     if not np.isfinite(scaled).all():
         raise NumericalError(f"column {first} = {scale:g} * {grid[-1]:g} overflows a float")
     write_csv(path, [first, *names], [scaled, *values])
+
+
+def _pointwise(curve: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """The column of a scalar curve: curve(x) at each grid point, in order."""
+    return lambda grid: np.array([float(curve(float(x))) for x in grid])
+
+
+def _each(columns: dict) -> tuple:
+    """The names and the columns function for _tabulate of columns (name ->
+    function of the grid) built one after another."""
+    return list(columns), lambda grid: [column(grid) for column in columns.values()]
 
 
 def _input_spec(cfg: RunConfig, fallback: StateSpec | None = None) -> StateSpec:
@@ -242,22 +250,20 @@ def _tmsv_en(p: DampedParams, t: float, nbar: float, r: float):
 def _run_lossless(cfg: RunConfig) -> None:
     state = _grid_state(cfg)
     params = CouplerParams(cfg.omega, cfg.coupling)
-
-    def row(t):
-        evolved = evolve_lossless(state, params, t)
-        return pure_log_negativity(evolved), _pure_reduced_entropy(evolved)
-    _tabulate(cfg.output_path, "Jt", _times(cfg), cfg.coupling, ["E_N", "S"], row)
+    _tabulate(cfg.output_path, "Jt", _times(cfg), cfg.coupling, ["E_N", "S"],
+              lambda times: _evolved_measures(state, params, times, _pure_log_negativities,
+                                              _reduced_entropies))
 
 
 def _run_noon(cfg: RunConfig) -> None:
     (total,) = _input_spec(cfg, StateSpec("noon", (cfg.total,))).params
 
-    def row(jt):
+    def columns(jts):
         # S first: its binomial table refuses a large N before the N00N
         # eigensolve would spend seconds on it
-        ent = entropy_closed(total, jt)
-        return noon_log_negativity(total, jt), ent
-    _tabulate(cfg.output_path, "Jt", _jt_grid(cfg), 1.0, ["E_N", "S"], row)
+        entropy = _entropies_closed(total, jts)
+        return [_noon_log_negativities(total, jts), entropy]
+    _tabulate(cfg.output_path, "Jt", _jt_grid(cfg), 1.0, ["E_N", "S"], columns)
 
 
 def _run_thermal(cfg: RunConfig) -> None:
@@ -268,14 +274,13 @@ def _run_thermal(cfg: RunConfig) -> None:
     if spec.params[0] != spec.params[1]:
         raise UsageError("the thermal entropy uses one occupation for both modes; "
                          f"give equal nbar_a and nbar_b, got {cfg.input_spec!r}")
-    occ = ThermalOccupation(*spec.params)
     if cfg.sweep == "jt":
         _tabulate(cfg.output_path, "Jt", _jt_grid(cfg), 1.0, ["S"],
-                  lambda jt: [thermal_entropy(cfg.total, jt, occ, cfg.variant)])
+                  lambda jts: _thermal_entropies(cfg.total, jts, [spec.params[0]], cfg.variant))
     else:
         _tabulate(cfg.output_path, "nbar", np.linspace(0.0, cfg.nbar_max, cfg.steps + 1),
-                  1.0, ["S"], lambda nb: [thermal_entropy(
-                      cfg.total, cfg.jt_fixed, ThermalOccupation(nb, nb), cfg.variant)])
+                  1.0, ["S"], lambda nbars: _thermal_entropies(
+                      cfg.total, [cfg.jt_fixed], nbars, cfg.variant).T)
 
 
 def _run_damped(cfg: RunConfig) -> None:
@@ -289,14 +294,14 @@ def _run_damped(cfg: RunConfig) -> None:
 def _run_gaussian(cfg: RunConfig) -> None:
     (r,) = _input_spec(cfg, StateSpec("tmsv", (cfg.squeeze,))).params
     p = DampedParams(cfg.omega, cfg.coupling, cfg.gamma)
-    _tabulate(cfg.output_path, "Jt", _times(cfg), cfg.coupling, ["E_N"],
-              lambda t: [_tmsv_en(p, t, cfg.nbar, r)])
+    _tabulate(cfg.output_path, "Jt", _times(cfg), cfg.coupling,
+              *_each({"E_N": _pointwise(lambda t: _tmsv_en(p, t, cfg.nbar, r))}))
 
 
 def _run_purity(cfg: RunConfig) -> None:
     p = DampedParams(cfg.omega, cfg.coupling, cfg.gamma)
-    _tabulate(cfg.output_path, "Jt", _times(cfg), cfg.coupling, ["purity"],
-              lambda t: [purity_closed(p, t, cfg.variant)])
+    _tabulate(cfg.output_path, "Jt", _times(cfg), cfg.coupling,
+              *_each({"purity": _pointwise(lambda t: purity_closed(p, t, cfg.variant))}))
 
 
 def _run_compare(cfg: RunConfig) -> None:
@@ -336,95 +341,96 @@ def _dump_oracle_states(path: str, trajectory) -> None:
 
 
 # --- figure reproduction -----------------------------------------------------
-# Each panel is a grid and its curves (column name -> value at a grid point).
-# The curves call the library through this module's names at run time.
+# Each panel is a grid, its column names and one function from the grid to
+# those columns.  The columns call the library through this module's names
+# at run time.
 
 class _Figure(NamedTuple):
     first: str  # name of the first column
     grid: np.ndarray
-    curves: dict
+    names: list
+    columns: Callable[[np.ndarray], list]  # grid -> one array per name
     scale: float = 1.0  # the first column prints scale * grid
 
 
-def _lossless_en(na: int, nb: int):
+def _fock_en(na: int, nb: int, jts: np.ndarray) -> np.ndarray:
     # E_N of |na, nb> through the coupler at omega = 0, J = 1, so t = Jt
-    spec = StateSpec("fock", (na, nb))
-    state, params = make_pure_state(spec, spec.photons_needed()), CouplerParams(0.0, 1.0)
-    return lambda jt: pure_log_negativity(evolve_lossless(state, params, jt))
-
-
-def _thermal_vs_jt(total: int, nbar: float):
-    occ = ThermalOccupation(nbar, nbar)
-    return lambda jt: thermal_entropy(total, jt, occ)
-
-
-def _thermal_vs_nbar(total: int, jt: float):
-    return lambda nbar: thermal_entropy(total, jt, ThermalOccupation(nbar, nbar))
+    return _evolved_measures(fock_state(na, nb, na + nb), CouplerParams(0.0, 1.0), jts,
+                             _pure_log_negativities)[0]
 
 
 def _damped_s(total: int, gamma: float):
     p = DampedParams(0.0, 0.5, gamma)
-    return lambda jt: damped_entropy(total, p, jt / p.J)
+    return _pointwise(lambda jt: damped_entropy(total, p, jt / p.J))
 
 
 def _tmsv_vs_t(gamma: float):
     # E_N of the r = 0.25 TMSV at J = 0.5 and nbar = 0 against t
     p = DampedParams(0.0, 0.5, gamma)
-    return lambda t: _tmsv_en(p, t, 0.0, 0.25)
+    return _pointwise(lambda t: _tmsv_en(p, t, 0.0, 0.25))
 
 
 def _tmsv_vs_nbar(r: float):
     # E_N of the TMSV r at J = 0.5, gamma = 0.05 and t = 1 against nbar
     p = DampedParams(0.0, 0.5, 0.05)
-    return lambda nbar: _tmsv_en(p, 1.0, nbar, r)
+    return _pointwise(lambda nbar: _tmsv_en(p, 1.0, nbar, r))
 
 
 def _purity_vs_t(coupling: float, gamma: float):
     p = DampedParams(0.0, coupling, gamma)
-    return lambda t: purity_closed(p, t)
+    return _pointwise(lambda t: purity_closed(p, t))
+
+
+def _thermal_jt_panel(total: int) -> tuple:
+    # one column per nbar of _FIG2_NBARS
+    return ([f"S_nbar{v:g}" for v in _FIG2_NBARS],
+            lambda jts: _thermal_entropies(total, jts, _FIG2_NBARS))
+
+
+def _thermal_nbar_panel(total: int, jts: dict) -> tuple:
+    # one column per Jt, named by the keys of jts
+    return ([f"S_{name}" for name in jts],
+            lambda nbars: _thermal_entropies(total, list(jts.values()), nbars).T)
 
 
 _FIG1_JT = np.linspace(0.0, math.pi, 401)
 _FIG2_JT = np.linspace(0.0, math.pi / 2, 201)
 _FIG2_NBARS = (0.0, 0.5, 1.0, 2.0, 5.0)
-_FIG2_JTS = (("pi8", math.pi / 8), ("pi4", math.pi / 4),
-             ("3pi8", 3 * math.pi / 8), ("pi2", math.pi / 2))
+_FIG2_JTS = {"pi8": math.pi / 8, "pi4": math.pi / 4, "3pi8": 3 * math.pi / 8,
+             "pi2": math.pi / 2}
 # wide layout for the surface plots 2c and 2f: rows sweep nbar, columns sweep Jt
 _SURFACE_NBAR = np.linspace(0.0, 8.0, 65)
-_SURFACE_JTS = np.linspace(0.0, math.pi / 2, 33)
+_SURFACE_JTS = {f"jt{jt:.6g}": float(jt) for jt in np.linspace(0.0, math.pi / 2, 33)}
 _NBAR_GRID = np.linspace(0.0, 8.0, 161)
 _FIG4_TIMES = np.linspace(0.0, 10.0, 201)
 _FIG5_TIMES = np.linspace(0.0, 20.0, 401)
 
 FIGURES = {
-    "1a": _Figure("Jt", _FIG1_JT, {"EN_11": _lossless_en(1, 1), "EN_20": _lossless_en(2, 0)}),
-    "1b": _Figure("Jt", _FIG1_JT, {f"EN_{na}{nb}": _lossless_en(na, nb)
-                                   for na, nb in ((2, 2), (3, 1), (4, 0))}),
-    "1c": _Figure("Jt", _FIG1_JT, {f"EN_N{n}": lambda jt, n=n: noon_log_negativity(n, jt)
-                                   for n in (2, 3, 4, 5)}),
-    "1d": _Figure("Jt", _FIG1_JT, {f"S_N{n}": lambda jt, n=n: entropy_closed(n, jt)
-                                   for n in (2, 3, 4, 5)}),
-    "2a": _Figure("Jt", _FIG2_JT, {f"S_nbar{v:g}": _thermal_vs_jt(2, v) for v in _FIG2_NBARS}),
-    "2b": _Figure("nbar", _NBAR_GRID, {f"S_{name}": _thermal_vs_nbar(2, jt)
-                                       for name, jt in _FIG2_JTS}),
-    "2c": _Figure("nbar", _SURFACE_NBAR, {f"S_jt{jt:.6g}": _thermal_vs_nbar(2, float(jt))
-                                          for jt in _SURFACE_JTS}),
-    "2d": _Figure("Jt", _FIG2_JT, {f"S_nbar{v:g}": _thermal_vs_jt(4, v) for v in _FIG2_NBARS}),
-    "2e": _Figure("nbar", _NBAR_GRID, {f"S_{name}": _thermal_vs_nbar(4, jt)
-                                       for name, jt in _FIG2_JTS}),
-    "2f": _Figure("nbar", _SURFACE_NBAR, {f"S_jt{jt:.6g}": _thermal_vs_nbar(4, float(jt))
-                                          for jt in _SURFACE_JTS}),
+    "1a": _Figure("Jt", _FIG1_JT, *_each({f"EN_{na}{nb}": partial(_fock_en, na, nb)
+                                          for na, nb in ((1, 1), (2, 0))})),
+    "1b": _Figure("Jt", _FIG1_JT, *_each({f"EN_{na}{nb}": partial(_fock_en, na, nb)
+                                          for na, nb in ((2, 2), (3, 1), (4, 0))})),
+    "1c": _Figure("Jt", _FIG1_JT, *_each({f"EN_N{n}": partial(_noon_log_negativities, n)
+                                          for n in (2, 3, 4, 5)})),
+    "1d": _Figure("Jt", _FIG1_JT, *_each({f"S_N{n}": partial(_entropies_closed, n)
+                                          for n in (2, 3, 4, 5)})),
+    "2a": _Figure("Jt", _FIG2_JT, *_thermal_jt_panel(2)),
+    "2b": _Figure("nbar", _NBAR_GRID, *_thermal_nbar_panel(2, _FIG2_JTS)),
+    "2c": _Figure("nbar", _SURFACE_NBAR, *_thermal_nbar_panel(2, _SURFACE_JTS)),
+    "2d": _Figure("Jt", _FIG2_JT, *_thermal_jt_panel(4)),
+    "2e": _Figure("nbar", _NBAR_GRID, *_thermal_nbar_panel(4, _FIG2_JTS)),
+    "2f": _Figure("nbar", _SURFACE_NBAR, *_thermal_nbar_panel(4, _SURFACE_JTS)),
     **{fid: _Figure("Jt", np.linspace(0.0, math.pi, 201),
-                    {f"S_N{n}": _damped_s(n, gamma) for n in (2, 4)})
+                    *_each({f"S_N{n}": _damped_s(n, gamma) for n in (2, 4)}))
        for fid, gamma in (("3a", 0.0), ("3b", 0.01), ("3c", 0.03), ("3d", 0.05))},
-    "4a": _Figure("Jt", _FIG4_TIMES, {"E_N": _tmsv_vs_t(0.0)}, 0.5),
-    "4b": _Figure("Jt", _FIG4_TIMES, {f"EN_gamma{g:g}": _tmsv_vs_t(g)
-                                      for g in (0.02, 0.05, 0.1)}, 0.5),
-    **{fid: _Figure("Jt", _FIG5_TIMES, {f"P_gamma{g:g}": _purity_vs_t(coupling, g)
-                                        for g in (0.01, 0.05, 0.1)}, coupling)
+    "4a": _Figure("Jt", _FIG4_TIMES, *_each({"E_N": _tmsv_vs_t(0.0)}), 0.5),
+    "4b": _Figure("Jt", _FIG4_TIMES, *_each({f"EN_gamma{g:g}": _tmsv_vs_t(g)
+                                             for g in (0.02, 0.05, 0.1)}), 0.5),
+    **{fid: _Figure("Jt", _FIG5_TIMES, *_each({f"P_gamma{g:g}": _purity_vs_t(coupling, g)
+                                               for g in (0.01, 0.05, 0.1)}), coupling)
        for fid, coupling in (("5a", 3.0), ("5b", 0.25))},
-    "6": _Figure("nbar", _NBAR_GRID, {f"EN_r{r:g}": _tmsv_vs_nbar(r)
-                                      for r in (0.25, 0.5, 1.0, 1.5)}),
+    "6": _Figure("nbar", _NBAR_GRID, *_each({f"EN_r{r:g}": _tmsv_vs_nbar(r)
+                                             for r in (0.25, 0.5, 1.0, 1.5)})),
 }
 
 
@@ -432,9 +438,9 @@ def _run_figure(cfg: RunConfig) -> None:
     if cfg.figure_id not in FIGURES:
         raise UsageError(
             f"unknown figure id {cfg.figure_id!r}; known: {', '.join(sorted(FIGURES))}")
-    first, grid, curves, scale = FIGURES[cfg.figure_id]
-    _tabulate(cfg.output_path or f"figure_{cfg.figure_id}.csv", first, grid, scale,
-              list(curves), lambda x: [curve(x) for curve in curves.values()])
+    first, grid, names, columns, scale = FIGURES[cfg.figure_id]
+    _tabulate(cfg.output_path or f"figure_{cfg.figure_id}.csv", first, grid, scale, names,
+              columns)
 
 
 class _Command(NamedTuple):
@@ -542,10 +548,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(command=command, figure_id=getattr(args, "figure_id", None), **merged)
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built by the first main call, not at import, and shared by the later ones
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

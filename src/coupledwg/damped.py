@@ -70,6 +70,7 @@ from .fock import (
     von_neumann_entropy,
 )
 from .lossless import (
+    _CHUNK_BYTES,
     CouplerParams,
     _assemble_sectors,
     _binomial_family,
@@ -81,12 +82,10 @@ from .lossless import (
 )
 
 TRACE_DEFICIT_LIMIT = 1e-10
-# bytes of compact states, their time factors and the sector blocks gathered
-# from them built at once, about four dense states at cutoff 10: a grid is
-# walked in chunks of this size, so memory does not grow with the number of
-# times.  The measures of a 101-point grid for NOON-10 take 6 chunks, and
+# a chunk of compact states, their time factors and the sector blocks
+# gathered from them takes up to _CHUNK_BYTES, about four dense states at
+# cutoff 10: the measures of a 101-point grid for NOON-10 take 6 chunks, and
 # one for an input of up to 4 photons.
-_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -399,11 +399,18 @@ def log_negativity(rho) -> MeasureValue:
     return MeasureValue("log_negativity", float(value))
 
 
+def _pure_log_negativities(amps: np.ndarray) -> np.ndarray:
+    """log2((sum of Schmidt coefficients)^2) of each pure state of a stack of
+    amplitude grids (count, d, d), through the log_negativity gate."""
+    sums = np.linalg.svd(amps, compute_uv=False).sum(axis=-1)
+    return _gated("log_negativity", np.array([2.0 * math.log2(s) for s in sums.tolist()]))
+
+
 def pure_log_negativity(state: TwoModePureState) -> MeasureValue:
     """Pure-state shortcut log2((sum of Schmidt coefficients)^2); used to
     cross-check the partial-transpose route."""
-    s = np.linalg.svd(state.amplitudes, compute_uv=False)
-    return MeasureValue("log_negativity", 2.0 * math.log2(float(s.sum())))
+    value = _pure_log_negativities(state.amplitudes[None])[0]
+    return MeasureValue("log_negativity", float(value))
 
 
 def reduced_state(rho, keep: str = "a") -> np.ndarray:
@@ -437,8 +444,25 @@ def _entropies(sigmas: np.ndarray) -> np.ndarray:
     the floor are clamped into [0, 1]."""
     herm = np.abs(sigmas - sigmas.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     evals = _checked_spectra(herm, np.trace(sigmas, axis1=-2, axis2=-1),
-                             lambda count: _eigvalsh(sigmas[:count]))
+                             lambda count: _eigvalsh_each(sigmas[:count]))
     return _entropy_bits(np.clip(evals, 0.0, 1.0))
+
+
+def _eigvalsh_each(mats: np.ndarray) -> np.ndarray:
+    """_eigvalsh of a stack of matrices, with its real fast path taken or
+    not for each matrix as it would be for that matrix alone."""
+    real = np.abs(mats.imag).max(axis=(-2, -1), initial=0.0) < 1e-14
+    evals = np.empty(mats.shape[:-1])
+    for pick in (real, ~real):
+        if pick.any():
+            evals[pick] = _eigvalsh(mats[pick])
+    return evals
+
+
+def _reduced_entropies(amps: np.ndarray) -> np.ndarray:
+    """Entropy in bits of mode a's reduced state amps @ amps^dagger, for each
+    pure state of a stack of amplitude grids (count, d, d)."""
+    return _entropies(amps @ amps.conj().swapaxes(-1, -2))
 
 
 def von_neumann_entropy(sigma: np.ndarray) -> MeasureValue:

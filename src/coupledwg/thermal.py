@@ -14,6 +14,11 @@ Buzek & Knight, PRA 65, 032323, 2002).  Two thermal inputs with equal nbar
 are even left unchanged (their joint state depends only on the total photon
 number), so each mode keeps its own entropy, 2.0 bits at nbar = 1, at every
 Jt, while these curves vary with Jt.
+
+The entropy is built one grid at a time: _thermal_entropies takes a grid of
+nbar and a grid of Jt, one row of occupation weights per nbar and one
+binomial row per Jt, and gives the entropy at every pair; thermal_entropy
+and thermal_diagonal_family are its one-point calls.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .fock import MeasureValue, entropy_bits
-from .lossless import _binomial_weights, _pt_spectrum
+from .fock import MeasureValue, _entropy_bits, _gated
+from .lossless import _binomial_weights, _binomials, _pt_spectrum
 
 _VARIANTS = ("as-printed", "normalized")
 
@@ -65,21 +70,40 @@ def _check_variant(variant: str):
         raise ValidationError(f"variant must be one of {_VARIANTS}, got {variant!r}")
 
 
-def _unit_trace(values: np.ndarray, trace: float) -> np.ndarray:
-    if trace <= 0.0:
+def _unit_trace(values: np.ndarray, trace) -> np.ndarray:
+    """values over trace, with one trace per row of values or one in all."""
+    if np.any(trace <= 0.0):
         raise ValidationError("cannot normalize an all-zero spectrum")
     return values / trace
+
+
+def _diagonal_families(total: int, jts: np.ndarray, nbars: np.ndarray,
+                       variant: str) -> np.ndarray:
+    """thermal_diagonal_family at every (nbar, Jt) pair of two 1-D grids, one
+    row per pair with nbar in the outer loop, with its checks: an occupation
+    weight that overflows raises at the first nbar that meets it, once the
+    pairs before it have met the binomial table."""
+    _check_variant(variant)
+    weights = []
+    for nbar in nbars.tolist():
+        try:
+            weights.append(_occupation_weights(nbar, total))
+        except NumericalError:
+            if weights:  # the pairs before it meet the binomial table first
+                _binomials(total)
+            raise
+    fams = ((np.array(weights) ** 2)[:, None] * _binomial_weights(total, jts)
+            ).reshape(-1, total + 1)
+    if variant == "normalized":
+        fams = _unit_trace(fams, fams.sum(axis=1)[:, None])
+    return fams
 
 
 def thermal_diagonal_family(total: int, jt: float, occ: ThermalOccupation,
                             variant: str = "as-printed") -> np.ndarray:
     """Diagonal partial-transpose family: squared mode-a weight times the
     lossless binomial family.  The normalized variant rescales to unit sum."""
-    _check_variant(variant)
-    fam = _occupation_weights(occ.nbar_a, total) ** 2 * _binomial_weights(total, jt)
-    if variant == "normalized":
-        fam = _unit_trace(fam, fam.sum())
-    return fam
+    return _diagonal_families(total, np.array([jt]), np.array([occ.nbar_a]), variant)[0]
 
 
 def thermal_pt_spectrum(total: int, jt: float, occ: ThermalOccupation,
@@ -103,10 +127,18 @@ def thermal_pt_spectrum(total: int, jt: float, occ: ThermalOccupation,
     return spectrum
 
 
+def _thermal_entropies(total: int, jts, nbars, variant: str = "as-printed") -> np.ndarray:
+    """thermal_entropy with equal occupations at every (nbar, Jt) pair of two
+    1-D grids: one row per nbar, one column per Jt."""
+    fams = _diagonal_families(total, np.asarray(jts, dtype=float),
+                              np.asarray(nbars, dtype=float), variant)
+    return _gated("entropy", _entropy_bits(fams)).reshape(len(nbars), -1)
+
+
 def thermal_entropy(total: int, jt: float, occ: ThermalOccupation,
                     variant: str = "as-printed") -> MeasureValue:
     """Entropy (bits) of the thermal diagonal family; uses occ.nbar_a, matching
     the closed forms this reproduces.  With "as-printed" the family is used
     unnormalized, so the value tends to 0 as nbar grows."""
-    fam = thermal_diagonal_family(total, jt, occ, variant)
-    return MeasureValue("entropy", entropy_bits(fam))
+    return MeasureValue("entropy", float(_thermal_entropies(total, [jt], [occ.nbar_a],
+                                                            variant)[0, 0]))

@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coupledwg import cli
+from coupledwg import cli, lossless
 from coupledwg.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -20,6 +23,7 @@ from coupledwg.cli import (
     parse_state_spec,
 )
 from coupledwg.damped import DampedParams, purity_closed
+from coupledwg.errors import NumericalError
 
 
 def read_csv(path):
@@ -179,8 +183,14 @@ def test_overflowing_values_exit_three(argv, tmp_path, capsys):
 
 
 def test_noon_refuses_large_n_before_the_noon_eigensolve(monkeypatch, tmp_path, capsys):
+    # the S column's binomial table refuses N = 2000 before the E_N column
+    # reaches a sector eigensolve, which would take seconds at that size
     calls = []
-    monkeypatch.setattr(cli, "noon_log_negativity", lambda *args: calls.append(args) or 0.0)
+
+    def eigensystem(total):
+        calls.append(total)
+        raise NumericalError("sector eigensolve reached")
+    monkeypatch.setattr(lossless, "_sector_eigensystem", eigensystem)
     code = main(["noon", "--N", "2000", "--steps", "2", "-o", str(tmp_path / "x.csv")])
     assert code == EXIT_NUMERICAL
     err = capsys.readouterr().err
@@ -406,6 +416,42 @@ def test_figure_csv_byte_identical_to_reference(figure_id, tmp_path):
     out = tmp_path / f"{figure_id}.csv"
     assert main(["figure", figure_id, "-o", str(out)]) == EXIT_OK
     assert out.read_bytes() == (_REF_FIGURES / f"{figure_id}.csv").read_bytes()
+
+
+# numpy's dispatch held to X86_V2: exp, log2 and the complex loops then take
+# other code paths than under AVX-512, and the figures must not notice
+_DISPATCH_LIMIT = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
+_FIGURES_CHILD = """
+import sys, warnings
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    try:
+        import numpy
+    except RuntimeError as exc:
+        caught.append(warnings.WarningMessage(exc, RuntimeWarning, "", 0))
+refused = [str(w.message) for w in caught if "NPY_DISABLE_CPU_FEATURES" in str(w.message)]
+if refused:
+    sys.exit("numpy refused the setting: " + refused[0])
+from coupledwg.cli import main
+for fid in sys.argv[1:]:
+    assert main(["figure", fid, "-o", fid + ".csv"]) == 0
+"""
+
+
+def test_figures_byte_identical_under_a_second_simd_target(tmp_path):
+    ids = sorted(p.stem for p in _REF_FIGURES.glob("*.csv"))
+    path = [str(_REF_FIGURES.parents[2] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": _DISPATCH_LIMIT,
+           "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    run = subprocess.run([sys.executable, "-c", _FIGURES_CHILD, *ids], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    if "numpy refused the setting" in run.stderr:
+        pytest.skip(" ".join(run.stderr.split()))
+    assert run.returncode == 0, run.stderr
+    assert len(ids) == 19
+    for fid in ids:
+        ref = (_REF_FIGURES / f"{fid}.csv").read_bytes()
+        assert (tmp_path / f"{fid}.csv").read_bytes() == ref, fid
 
 
 _REF_DAMPED = _REF_FIGURES.parent / "damped"

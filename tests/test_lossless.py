@@ -7,23 +7,32 @@ directly: H({1,2,1}/4) = 1.5, H({1,3,3,1}/8) and H({1,4,6,4,1}/16) as written.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from coupledwg.errors import CapacityError, NumericalError, ValidationError
+from coupledwg import lossless
+from coupledwg.errors import CapacityError, CoupledwgError, NumericalError, ValidationError
 from coupledwg.fock import (
     TwoModeDensityMatrix,
+    _pure_log_negativities,
+    _reduced_entropies,
     fock_state,
     log_negativity,
     noon_state,
     partial_transpose,
+    pure_log_negativity,
     reduced_state,
     state_from_amplitudes,
     von_neumann_entropy,
 )
 from coupledwg.lossless import (
     CouplerParams,
+    _entropies_closed,
+    _evolved,
+    _evolved_measures,
+    _noon_log_negativities,
     entropy_closed,
     evolve_lossless,
     evolve_lossless_dm,
@@ -268,3 +277,126 @@ def test_overflowing_binomials_raise_typed_error():
 def test_overflowing_coupler_phase_raises_typed_error():
     with pytest.raises(NumericalError, match="phases"):
         evolve_lossless(noon_state(1, 1), CouplerParams(0.0, 1e308), 3.0)
+
+
+# --- column forms: one call over a whole grid, bit for bit the point calls
+
+_GRID = np.linspace(0.0, math.pi, 61)
+_UNSORTED = np.array([2.9, 0.0, 1.3, 0.4, 3.1, 0.4, 2.2, 1e-9, 0.75])
+
+
+def _first_error(calls):
+    # the class and message of the first call that raises, in order
+    for call in calls:
+        try:
+            call()
+        except CoupledwgError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def _column_error(call):
+    with pytest.raises(CoupledwgError) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("spec", [("noon", n) for n in range(1, 9)]
+                         + [("fock", 1, 1), ("fock", 3, 1), ("fock", 4, 0)])
+@pytest.mark.parametrize("omega", [0.0, 0.7])
+@pytest.mark.parametrize("extra", [0, 3])
+def test_lossless_columns_equal_point_calls(spec, omega, extra):
+    photons = sum(spec[1:])
+    cutoff = photons + extra
+    state = (noon_state(photons, cutoff) if spec[0] == "noon"
+             else fock_state(spec[1], spec[2], cutoff))
+    params = CouplerParams(omega, 1.3)
+    for times in (_GRID, _UNSORTED):
+        en, s = _evolved_measures(state, params, times, _pure_log_negativities,
+                                  _reduced_entropies)
+        evolved = [evolve_lossless(state, params, t) for t in times]
+        assert np.array_equal(np.concatenate(list(_evolved(state, params, times))),
+                              [e.amplitudes for e in evolved])
+        assert np.array_equal(en, [float(pure_log_negativity(e)) for e in evolved])
+        sigmas = [e.amplitudes @ e.amplitudes.conj().T for e in evolved]
+        assert np.array_equal(s, [float(von_neumann_entropy(sigma)) for sigma in sigmas])
+
+
+@pytest.mark.parametrize("total", range(1, 9))
+def test_noon_and_entropy_columns_equal_point_calls(total):
+    for jts in (_GRID, _UNSORTED):
+        assert np.array_equal(_noon_log_negativities(total, jts),
+                              [float(noon_log_negativity(total, jt)) for jt in jts])
+        assert np.array_equal(_entropies_closed(total, jts),
+                              [float(entropy_closed(total, jt)) for jt in jts])
+
+
+def test_lossless_columns_refuse_corner_support():
+    state = state_from_amplitudes({(2, 2): 1.0}, cutoff=2)
+    params = CouplerParams(0.0, 1.0)
+    assert _column_error(lambda: _evolved_measures(state, params, _GRID, _reduced_entropies)) \
+        == _first_error([lambda: evolve_lossless(state, params, 0.0)])
+
+
+@pytest.mark.parametrize("params, times", [
+    # J t * 4 overflows from t of about 4.5e307 on, omega * 4 * t from 4.5e7
+    (CouplerParams(0.0, 1.0), np.linspace(0.0, 1e308, 40)),
+    (CouplerParams(0.0, 1.0), np.array([1.0, 2e307, 3.0, 1e308, 5e307])),
+    (CouplerParams(1e300, 1.0), np.linspace(0.0, 1e9, 40)),
+])
+def test_phase_overflow_fires_at_the_first_bad_time(params, times):
+    state = noon_state(4, 5)
+    want = _first_error([lambda t=t: evolve_lossless(state, params, t) for t in times])
+    assert want is not None and "phases" in want[1]
+    assert _column_error(lambda: _evolved_measures(
+        state, params, times, _pure_log_negativities)) == want
+
+
+def test_norm_gate_fires_at_the_first_bad_time(monkeypatch):
+    # eigenvalues with a small imaginary part make the evolution lose norm
+    # in proportion to t: the gate trips part way into the grid
+    eigensystem = lossless._sector_eigensystem
+    monkeypatch.setattr(lossless, "_sector_eigensystem",
+                        lambda total: (eigensystem(total)[0] - 1e-3j, eigensystem(total)[1]))
+    state, params = noon_state(2, 2), CouplerParams(0.0, 1.0)
+    times = np.linspace(0.0, 2e-9, 41)
+    want = _first_error([lambda t=t: evolve_lossless(state, params, t) for t in times])
+    assert want is not None and want[0] is ValidationError and "norm" in want[1]
+    assert _column_error(lambda: _evolved_measures(
+        state, params, times, _pure_log_negativities)) == want
+
+
+def test_entropy_clamp_fires_at_the_first_bad_point(monkeypatch):
+    # weights tripled past jt = 1 give negative entropy terms there
+    weights = lossless._binomial_weights
+    monkeypatch.setattr(lossless, "_binomial_weights", lambda total, jt: weights(total, jt) * (
+        1.0 + 2.0 * (np.asarray(jt)[..., None] > 1.0)))
+    want = _first_error([lambda jt=jt: entropy_closed(3, jt) for jt in _GRID])
+    assert want is not None and want[1].startswith("entropy must be >= 0, got -")
+    assert _column_error(lambda: _entropies_closed(3, _GRID)) == want
+
+
+def test_lossless_grid_memory_does_not_grow_with_the_grid(monkeypatch):
+    # drawing the first chunk of a 10^6-point grid at cutoff 20, and its
+    # measures, builds one chunk of it: the whole (times, d, d) stack would
+    # take 7 GB, and any array over the grid 8 MB
+    state, params = noon_state(20, 20), CouplerParams(0.3, 1.0)
+    evolve_lossless(state, params, 0.5)  # fill the caches first
+    unitaries = lossless._sector_unitaries
+
+    def one_chunk(total, p, times):
+        assert times.size < 1000
+        return unitaries(total, p, times)
+    monkeypatch.setattr(lossless, "_sector_unitaries", one_chunk)
+    times = np.linspace(0.0, 50.0, 10 ** 6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        amps = next(_evolved(state, params, times))
+        en, s = _pure_log_negativities(amps), _reduced_entropies(amps)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert 0 < amps.shape[0] < 1000
+    assert (en[0], s[0]) == pytest.approx((1.0, 1.0), abs=1e-12)
+    assert peak < lossless._CHUNK_BYTES

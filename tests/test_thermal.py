@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from coupledwg.errors import NumericalError, ValidationError
+from coupledwg import thermal
+from coupledwg.errors import CoupledwgError, NumericalError, ValidationError
 from coupledwg.lossless import pt_spectrum_closed
 from coupledwg.thermal import (
     ThermalOccupation,
+    _thermal_entropies,
     thermal_diagonal_family,
     thermal_entropy,
     thermal_pt_spectrum,
@@ -157,3 +159,81 @@ def test_weight_overflow_raises_typed_error():
     for nbar in (1e308, np.float64(1e308)):  # numpy scalars overflow quietly
         with pytest.raises(NumericalError):
             thermal_weight(nbar, 1)
+
+
+# --- column form: every (nbar, Jt) pair of two grids in one call, bit for
+# bit the point calls, and the error of the first pair that fails
+
+_JTS = np.linspace(0.0, 1.5, 41)
+_NBARS = np.linspace(0.0, 8.0, 33)
+
+
+def _point_calls(total, jts, nbars, variant):
+    # thermal_entropy at each pair, rows first
+    return [lambda jt=jt, nbar=nbar: thermal_entropy(total, jt, ThermalOccupation(nbar, nbar),
+                                                     variant)
+            for nbar in nbars for jt in jts]
+
+
+def _first_error(calls):
+    for call in calls:
+        try:
+            call()
+        except CoupledwgError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def _column_error(call):
+    with pytest.raises(CoupledwgError) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("variant", ["as-printed", "normalized"])
+@pytest.mark.parametrize("total", [1, 2, 4, 12])
+@pytest.mark.parametrize("jts, nbars", [(_JTS, [1.0]), (_JTS, [0.0]), ([0.3], _NBARS),
+                                        ([math.pi / 4], _NBARS), (_JTS[::4], _NBARS[::4])],
+                         ids=["jt", "jt-nbar0", "nbar", "nbar-pi4", "surface"])
+def test_thermal_columns_equal_point_calls(variant, total, jts, nbars):
+    want = [float(call()) for call in _point_calls(total, jts, nbars, variant)]
+    got = _thermal_entropies(total, jts, nbars, variant)
+    assert got.shape == (len(nbars), len(jts))
+    assert np.array_equal(got.ravel(), want)
+
+
+def test_occupation_overflow_fires_at_the_first_bad_nbar():
+    # nbar^1 / (nbar + 1)^2 overflows from nbar of about 1.3e154 on
+    nbars = np.array([0.5, 1e100, 3.0, 1e200, 2.0, 1e300])
+    want = _first_error(_point_calls(2, _JTS, nbars, "as-printed"))
+    assert want is not None and "nbar=1e+200" in want[1]
+    assert _column_error(lambda: _thermal_entropies(2, _JTS, nbars)) == want
+
+
+def test_all_zero_family_fires_as_the_point_call(monkeypatch):
+    # binomial weights zeroed past jt = 1: the normalized family there sums to 0
+    weights = thermal._binomial_weights
+    monkeypatch.setattr(thermal, "_binomial_weights", lambda total, jt: weights(total, jt) * (
+        np.asarray(jt)[..., None] <= 1.0))
+    calls = _point_calls(2, _JTS, [1.0], "normalized")
+    want = _first_error(calls)
+    assert want == (ValidationError, "cannot normalize an all-zero spectrum")
+    assert _column_error(lambda: _thermal_entropies(2, _JTS, [1.0], "normalized")) == want
+
+
+@pytest.mark.parametrize("variant, push, message", [
+    ("as-printed", 50.0, "entropy must be >= 0, got -"),
+    ("normalized", math.nan, "entropy must be >= 0, got nan")])
+def test_entropy_clamp_fires_at_the_first_bad_point(monkeypatch, variant, push, message):
+    # one weight pushed past jt = 1: above 1 it gives a negative entropy term
+    weights = thermal._binomial_weights
+
+    def pushed(total, jt):
+        out = weights(total, jt) * 1.0
+        out[..., 0] += np.where(np.asarray(jt) > 1.0, push, 0.0)
+        return out
+    monkeypatch.setattr(thermal, "_binomial_weights", pushed)
+    for jts, nbars in ((_JTS, [0.0]), ([1.2], _NBARS)):
+        want = _first_error(_point_calls(2, jts, nbars, variant))
+        assert want is not None and want[1].startswith(message)
+        assert _column_error(lambda: _thermal_entropies(2, jts, nbars, variant)) == want
