@@ -3,9 +3,11 @@
 Marches the density matrix on the full product grid with classical fixed-step
 RK4.  The right-hand side is the Lindblad form with a non-Hermitian
 H_eff = H - i gamma (n_a + n_b) (Dalibard, Castin & Molmer, PRL 68, 580, 1992),
-L(rho) = -i (H_eff rho - rho H_eff^dag) + 2 gamma (a rho a^dag + b rho b^dag):
-six dense (d^2) x (d^2) products per apply.  It is independent of the closed
-forms so it can arbitrate them, and it keeps only the sampled states.
+L(rho) = -i (H_eff rho - rho H_eff^dag) + 2 gamma (a rho a^dag + b rho b^dag),
+applied as two dense products over operators stacked once per system:
+[-i H_eff; s a; s b] rho, then [rho, s a rho, s b rho] [i H_eff^dag; s a^T; s b^T]
+with s = sqrt(2 gamma).  It is independent of the closed forms so it can
+arbitrate them, and it keeps only the sampled states.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from .fock import TwoModeDensityMatrix, _as_entries, log_negativity, purity, \
 
 SAMPLE_TRACE_TOL = 1e-9
 SAMPLE_EIG_FLOOR = -1e-9
-MAX_RK4_STEPS = 10 ** 6  # about 5 minutes at cutoff 4; the workloads take a few thousand
+# 0.21 ms a step at cutoff 4 on one BLAS thread of a 2-core x86 host, so
+# about 3.5 minutes; the workloads take a few thousand
+MAX_RK4_STEPS = 10 ** 6
 
 
 def default_dt(p: DampedParams) -> float:
@@ -51,25 +55,28 @@ class IntegratorConfig:
 
 @lru_cache(maxsize=8)
 def _system_operators(cutoff: int, omega: float, coupling: float, gamma: float):
-    """H_eff, its adjoint and the jumps a, b on the grid; shared and read-only."""
+    """The stacks left = [-i H_eff; s a; s b] and right = [i H_eff^dag; s a^T;
+    s b^T], each (3 d^2) x d^2 complex with s = sqrt(2 gamma); shared and
+    read-only."""
     d = cutoff + 1
     low = np.diag(np.sqrt(np.arange(1.0, d)), 1)
     a = np.kron(low, np.eye(d))
     b = np.kron(np.eye(d), low)
     h_eff = (omega - 1j * gamma) * (a.T @ a + b.T @ b) + coupling * (a.T @ b + b.T @ a)
-    ops = (h_eff, h_eff.conj().T, a, b)
-    for mat in ops:
-        mat.setflags(write=False)
-    return ops
+    s = math.sqrt(2.0 * gamma)
+    left = np.concatenate([-1j * h_eff, s * a, s * b])
+    right = np.concatenate([1j * h_eff.conj().T, s * a.T, s * b.T])
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return left, right
 
 
 def liouvillian_apply(rho_mat: np.ndarray, cutoff: int, p: DampedParams) -> np.ndarray:
     """Right-hand side of the master equation, in the Lindblad form above."""
-    h_eff, h_eff_adj, a, b = _system_operators(cutoff, p.omega, p.J, p.gamma)
-    out = -1j * (h_eff @ rho_mat - rho_mat @ h_eff_adj)
-    if p.gamma != 0.0:
-        out += 2.0 * p.gamma * (a @ rho_mat @ a.T + b @ rho_mat @ b.T)
-    return out
+    left, right = _system_operators(cutoff, p.omega, p.J, p.gamma)
+    n = rho_mat.shape[0]
+    z = left @ rho_mat
+    return z[:n] + np.concatenate([rho_mat, z[n:2 * n], z[2 * n:]], axis=1) @ right
 
 
 def _rk4_step(rho_mat: np.ndarray, cutoff: int, p: DampedParams, h: float) -> np.ndarray:
@@ -162,8 +169,8 @@ def trace_distance(rho, sigma) -> float:
     ent_s, d_s = _as_entries(sigma)
     if d_r != d_s:
         raise ValidationError(f"grid mismatch: {d_r} vs {d_s}")
-    evals = np.linalg.eigvalsh(0.5 * (ent_r - ent_s)
-                               + 0.5 * (ent_r - ent_s).conj().T)
+    diff = ent_r - ent_s
+    evals = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
     return 0.5 * float(np.abs(evals).sum())
 
 

@@ -78,6 +78,50 @@ def test_lindblad_form_matches_reference_apply():
                         assert gap <= 1e-13, (cutoff, p)
 
 
+def test_trajectory_matches_reference_apply(monkeypatch):
+    # the stacked apply must give the referee's dynamics, not only its value
+    # at one random point
+    cfg = IntegratorConfig(dt=0.0025, t_max=0.25)
+    times = [0.0, 0.1, 0.25]
+    for cutoff in range(1, 5):
+        for state in (fock_state(1, cutoff - 1, cutoff), noon_state(cutoff, cutoff)):
+            for gamma in (0.0, 0.04):
+                p = DampedParams(0.3, 1.0, gamma)
+                stacked = integrate(dm(state), p, cfg, sample_times=times)
+                with monkeypatch.context() as patch:
+                    patch.setattr(lindblad, "liouvillian_apply", _reference_apply)
+                    reference = integrate(dm(state), p, cfg, sample_times=times)
+                for ours, ref in zip(stacked.states, reference.states):
+                    assert np.abs(ours - ref).max() <= 1e-12, (cutoff, gamma)
+                assert abs(stacked.diagnostics["min_eigenvalue"]
+                           - reference.diagnostics["min_eigenvalue"]) <= 1e-13
+
+
+def test_system_operators_are_shared_complex_stacks():
+    left, right = lindblad._system_operators(2, 0.3, 1.0, 0.05)
+    for stack in (left, right):
+        assert stack.shape == (27, 9)
+        assert stack.dtype == complex
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0] = 0.0
+    assert lindblad._system_operators(2, 0.3, 1.0, 0.05)[0] is left
+
+
+def test_apply_leaves_its_argument_and_reduces_to_the_commutator():
+    rng = np.random.default_rng(5)
+    cutoff, d2 = 3, 16
+    p = DampedParams(0.3, 1.2, 0.0)
+    raw = rng.normal(size=(d2, d2)) + 1j * rng.normal(size=(d2, d2))
+    raw /= np.linalg.norm(raw)
+    for mat in (0.5 * (raw + raw.conj().T), raw):
+        kept = mat.copy()
+        out = liouvillian_apply(mat, cutoff, p)
+        assert np.array_equal(mat, kept)
+        # at gamma = 0 the reference is -i (H rho - rho H) alone
+        assert np.abs(out - _reference_apply(mat, cutoff, p)).max() <= 1e-14
+
+
 def test_rhs_is_traceless():
     rng = np.random.default_rng(11)
     p = DampedParams(0.3, 0.8, 0.2)
