@@ -36,7 +36,6 @@ from .fock import (
     fock_state,
     log_negativity,
     make_pure_state,
-    negativity,
     noon_state,
     partial_transpose,
     pure_log_negativity,
@@ -50,17 +49,13 @@ from .lossless import (
     entropy_closed,
     evolve_lossless,
     evolve_lossless_dm,
-    log_negativity_closed,
     lossless_unitary,
     noon_log_negativity,
     pt_spectrum_closed,
-    su2_coefficients,
 )
 from .thermal import (
     ThermalOccupation,
-    thermal_diagonal_family,
     thermal_entropy,
-    thermal_pt_spectrum,
     thermal_weight,
 )
 from .damped import (
@@ -77,7 +72,6 @@ from .damped import (
     purity_closed,
 )
 from .gaussian import (
-    is_physical,
     log_negativity_gaussian,
     simon_separable,
     symplectic_eigenvalues,
@@ -133,16 +127,13 @@ __all__ = [
     "evolve_lossless_dm",
     "fock_state",
     "integrate",
-    "is_physical",
     "liouvillian_apply",
     "log_negativity",
-    "log_negativity_closed",
     "log_negativity_gaussian",
     "loss_channel_factors",
     "lossless_unitary",
     "make_pure_state",
     "mode_rotation",
-    "negativity",
     "noon_log_negativity",
     "noon_state",
     "partial_transpose",
@@ -153,12 +144,9 @@ __all__ = [
     "reduced_state",
     "simon_separable",
     "state_from_amplitudes",
-    "su2_coefficients",
     "symplectic_eigenvalues",
-    "thermal_diagonal_family",
     "thermal_entropy",
     "thermal_evolved_covariance",
-    "thermal_pt_spectrum",
     "thermal_weight",
     "tmsv_covariance",
     "trace_distance",

@@ -48,7 +48,7 @@ _HERM_CHECK_BLOCK = 256
 
 # measure kind -> the range its values are clamped into after the gate
 _CLAMPS = {"entropy": (0.0, math.inf), "log_negativity": (0.0, math.inf),
-           "negativity": (0.0, math.inf), "purity": (0.0, 1.0)}
+           "purity": (0.0, 1.0)}
 
 
 @dataclass(frozen=True)
@@ -384,12 +384,6 @@ def _log_negativities(evals: np.ndarray) -> np.ndarray:
     """log2(1 + 2 * negativity) per row of partial-transpose eigenvalues,
     through the log_negativity gate."""
     return _gated("log_negativity", np.log2(1.0 + 2.0 * _negativities(evals)))
-
-
-def negativity(rho) -> float:
-    """Sum of |negative eigenvalues| of the partially transposed matrix."""
-    ent, d = _as_entries(rho)
-    return float(_negativities(_spectrum(ent, d, transposed=True)[None])[0])
 
 
 def log_negativity(rho) -> MeasureValue:

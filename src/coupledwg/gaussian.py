@@ -27,7 +27,6 @@ from .errors import NumericalError, ValidationError
 from .fock import MeasureValue, TwoModePureState, state_from_amplitudes
 
 _J2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-PHYSICAL_TOL = 1e-9
 DISCRIMINANT_FLOOR = -1e-10
 
 
@@ -65,18 +64,6 @@ def symplectic_eigenvalues(state, partial_transposed: bool = False) -> tuple:
     if lo < -1e-10 * max(1.0, abs(delta)):
         raise NumericalError(f"negative squared symplectic eigenvalue {lo:.3e}")
     return math.sqrt(max(lo, 0.0)), math.sqrt(hi)
-
-
-def is_physical(state, tol: float = PHYSICAL_TOL) -> bool:
-    """Uncertainty-principle check: smallest normal-branch symplectic
-    eigenvalue at least 1/2 (up to tol).  A matrix whose invariants do not
-    even yield real symplectic eigenvalues is reported as unphysical rather
-    than as an error."""
-    try:
-        nu_minus, _ = symplectic_eigenvalues(state)
-    except NumericalError:
-        return False
-    return nu_minus >= 0.5 - tol
 
 
 def log_negativity_gaussian(state) -> MeasureValue:

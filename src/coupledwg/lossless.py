@@ -6,8 +6,8 @@ is an (N+1)x(N+1) real tridiagonal matrix whose eigensystem is computed once
 and cached; time evolution is then exact to machine precision for any t.
 
 Closed-form results for a single-mode Fock input |0, N> are provided alongside
-(coefficients, partial-transpose spectrum, entanglement entropy) so the
-numerical propagator can be checked against them and vice versa.
+(partial-transpose spectrum, entanglement entropy) so the numerical
+propagator can be checked against them and vice versa.
 
 Curves are built one whole grid at a time.  Sector N evolves by one fixed
 rotation, e^{-i omega N t} V diag(e^{-i J t lam}) V^T, so a chunk of a time
@@ -36,7 +36,6 @@ from .fock import (
     TwoModePureState,
     _entropy_bits,
     _gated,
-    _log_negativities,
     _pure_log_negativities,
     _sectors,
     _total_photon_grid,
@@ -204,19 +203,6 @@ def evolve_lossless_dm(rho: TwoModeDensityMatrix, params: CouplerParams,
 # ------------------------------------------------------------- closed forms
 
 
-def su2_coefficients(total: int, jt: float) -> np.ndarray:
-    """Amplitudes of exp(-iHt)|0, N> at omega = 0.
-
-    Entry n is the amplitude on |n, N-n>:
-    (-i)^n sin(Jt)^n cos(Jt)^(N-n) sqrt(binom(N, n)).
-    """
-    if total < 0:
-        raise ValidationError("total photon number must be non-negative")
-    n = np.arange(total + 1)
-    s, c = math.sin(jt), math.cos(jt)
-    return (-1j) ** n * s ** n * c ** (total - n) * np.sqrt(_binomials(total))
-
-
 def _binomials(total: int) -> np.ndarray:
     """binom(N, n), n = 0..N, as floats; they overflow above N of about 1030."""
     try:
@@ -271,12 +257,6 @@ def entropy_closed(total: int, jt: float) -> MeasureValue:
     """Entanglement entropy (bits) of the evolved |0, N> state: the Shannon
     entropy of the binomial photon distribution with p = sin^2(Jt)."""
     return MeasureValue("entropy", float(_entropies_closed(total, np.array([jt]))[0]))
-
-
-def log_negativity_closed(total: int, jt: float) -> MeasureValue:
-    """Log-negativity of the evolved |0, N> state from the closed spectrum."""
-    value = _log_negativities(pt_spectrum_closed(total, jt)[None])[0]
-    return MeasureValue("log_negativity", float(value))
 
 
 def _noon_log_negativities(total: int, jts: np.ndarray) -> np.ndarray:

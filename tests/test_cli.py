@@ -161,7 +161,7 @@ def test_usage_errors_exit_two(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["gaussian", "--r", "400", "--steps", "2"],
     ["gaussian", "--input", "tmsv:400", "--steps", "2"],
-    ["thermal", "--nbar", "1e308", "--steps", "2"],
+    ["thermal", "--N", "2000", "--steps", "2"],
     ["purity", "--J", "1e308", "--steps", "2"],
     ["lossless", "--input", "noon:1", "--J", "1e308", "--steps", "2"],
     ["gaussian", "--nbar", "1e308", "--steps", "2"],
@@ -170,7 +170,7 @@ def test_usage_errors_exit_two(argv, tmp_path, capsys):
     ["damped", "--input", "noon:1", "--omega", "1e308", "--steps", "2"],
     ["compare", "--J", "1e308", "--steps", "2"],
     ["noon", "--J", "1e308", "--steps", "2"],
-    ["thermal", "--sweep", "nbar", "--nbar-max", "1e308", "--steps", "2"],
+    ["thermal", "--sweep", "nbar", "--N", "2000", "--steps", "2"],
     ["damped", "--input", "noon:3", "--cutoff", "2000", "--steps", "2"],
     ["gaussian", "--J", "1e308", "--steps", "2"],
     ["compare", "--J", "1e6"],
@@ -180,6 +180,22 @@ def test_overflowing_values_exit_three(argv, tmp_path, capsys):
     assert main(argv + ["-o", str(tmp_path / "x.csv")]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+# the occupation weights at these nbar hold in a float, though nbar^n and
+# (nbar + 1)^(n + 1) do not; their squares underflow to 0, and so does S
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, want", [
+    (["thermal", "--nbar", "1e308", "--steps", "2"],
+     (["Jt", "S"], [[0.0, 0.0], [0.785398163397, 0.0], [1.57079632679, 0.0]])),
+    (["thermal", "--sweep", "nbar", "--nbar-max", "1e308", "--steps", "2"],
+     (["nbar", "S"], [[0.0, 0.5], [5e307, 0.0], [1e308, 0.0]])),
+])
+def test_huge_occupations_exit_ok(argv, want, tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["-o", str(out)]) == EXIT_OK
+    header, rows = read_csv(out)
+    assert (header, rows.tolist()) == want
 
 
 def test_noon_refuses_large_n_before_the_noon_eigensolve(monkeypatch, tmp_path, capsys):

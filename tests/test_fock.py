@@ -24,7 +24,6 @@ from coupledwg.fock import (
     fock_state,
     log_negativity,
     make_pure_state,
-    negativity,
     noon_state,
     partial_transpose,
     pure_log_negativity,
@@ -34,6 +33,12 @@ from coupledwg.fock import (
     von_neumann_entropy,
 )
 from coupledwg.gaussian import two_mode_squeezed_state
+
+
+def _negativity(rho):
+    # sum of |negative eigenvalues| of the dense partial transpose
+    evals = np.linalg.eigvalsh(partial_transpose(rho))
+    return float(-evals[evals < 0.0].sum())
 
 
 def bell_state():
@@ -225,7 +230,7 @@ def test_measure_value_guards():
     with pytest.raises(ValidationError):
         MeasureValue("log_negativity", -0.2)
     # rounding noise is forgiven and clamped
-    assert float(MeasureValue("negativity", -1e-12)) == 0.0
+    assert float(MeasureValue("log_negativity", -1e-12)) == 0.0
 
 
 # ------------------------------------------------------- partial transposition
@@ -235,7 +240,7 @@ def test_bell_partial_transpose_spectrum():
     rho = TwoModeDensityMatrix.from_pure(bell_state())
     evals = np.sort(np.linalg.eigvalsh(partial_transpose(rho)))
     assert np.allclose(evals, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
-    assert abs(negativity(rho) - 0.5) < 1e-12
+    assert abs(_negativity(rho) - 0.5) < 1e-12
     assert abs(float(log_negativity(rho)) - 1.0) < 1e-12
 
 
@@ -257,7 +262,7 @@ def test_partial_transpose_preserves_trace_and_hermiticity():
 
 def test_product_state_has_zero_negativity():
     rho = TwoModeDensityMatrix.from_pure(fock_state(1, 1, cutoff=2))
-    assert negativity(rho) == 0.0
+    assert _negativity(rho) == 0.0
     assert float(log_negativity(rho)) == 0.0
 
 
@@ -265,7 +270,7 @@ def test_werner_family_negativity_threshold():
     bell = TwoModeDensityMatrix.from_pure(bell_state()).entries
     for p, expected in [(0.5, 0.125), (0.25, 0.0)]:
         rho = TwoModeDensityMatrix(1, p * bell + (1 - p) * np.eye(4) / 4)
-        assert abs(negativity(rho) - expected) < 1e-12
+        assert abs(_negativity(rho) - expected) < 1e-12
     # E_N at p = 1/2: log2(1 + 1/4)
     rho = TwoModeDensityMatrix(1, 0.5 * bell + 0.5 * np.eye(4) / 4)
     assert abs(float(log_negativity(rho)) - math.log2(1.25)) < 1e-12
@@ -409,7 +414,7 @@ def _assert_matches_dense(rho):
     dense_pt = np.linalg.eigvalsh(partial_transpose(ent))
     pt = _with_zeros(fock._spectrum(ent, d, transposed=True), d * d)
     assert np.abs(pt - dense_pt).max() <= 1e-12
-    assert abs(negativity(rho) - float(-dense_pt[dense_pt < 0.0].sum())) <= 1e-12
+    assert abs(fock._negativities(pt[None])[0] - _negativity(rho)) <= 1e-12
 
 
 def _stacked_spectra(ents, d, sign, transposed):

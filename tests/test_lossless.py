@@ -16,6 +16,7 @@ from coupledwg import lossless
 from coupledwg.errors import CapacityError, CoupledwgError, NumericalError, ValidationError
 from coupledwg.fock import (
     TwoModeDensityMatrix,
+    _log_negativities,
     _pure_log_negativities,
     _reduced_entropies,
     fock_state,
@@ -36,17 +37,28 @@ from coupledwg.lossless import (
     entropy_closed,
     evolve_lossless,
     evolve_lossless_dm,
-    log_negativity_closed,
     lossless_unitary,
     noon_log_negativity,
     pt_spectrum_closed,
     sector_coupling_matrix,
-    su2_coefficients,
 )
 
 ENTROPY_PEAK_N2 = 1.5
 ENTROPY_PEAK_N3 = 1.811278124459133
 ENTROPY_PEAK_N4 = 2.0306390622295665
+
+
+def _su2_coefficients(total, jt):
+    # amplitudes of exp(-iHt)|0, N> at omega = 0, entry n on |n, N - n>:
+    # (-i)^n sin(Jt)^n cos(Jt)^(N-n) sqrt(binom(N, n))
+    n = np.arange(total + 1)
+    binomials = np.array([math.comb(total, k) for k in range(total + 1)], dtype=float)
+    return (-1j) ** n * math.sin(jt) ** n * math.cos(jt) ** (total - n) * np.sqrt(binomials)
+
+
+def _log_negativity_closed(total, jt):
+    # E_N of the evolved |0, N> state from its closed partial-transpose spectrum
+    return float(_log_negativities(pt_spectrum_closed(total, jt)[None])[0])
 
 
 def test_coupler_params_validation():
@@ -107,7 +119,7 @@ def test_coefficients_match_propagator():
     p = CouplerParams(0.0, 1.0)
     for total in (1, 2, 3, 4, 5):
         for jt in (0.2, math.pi / 4, 1.0):
-            coeff = su2_coefficients(total, jt)
+            coeff = _su2_coefficients(total, jt)
             out = evolve_lossless(fock_state(0, total, cutoff=total), p, jt)
             n = np.arange(total + 1)
             assert np.allclose(out.amplitudes[n, total - n], coeff, atol=1e-12)
@@ -119,7 +131,7 @@ def test_coefficients_match_propagator():
 def test_four_photon_coefficient_pattern():
     jt = 0.7
     s, c = math.sin(jt), math.cos(jt)
-    coeff = su2_coefficients(4, jt)
+    coeff = _su2_coefficients(4, jt)
     expected = [c ** 4,
                 -2j * s * c ** 3,
                 -math.sqrt(6) * s ** 2 * c ** 2,
@@ -132,7 +144,7 @@ def test_mirror_input_swaps_coefficients():
     # |N,0> input produces the reversed coefficient list on the mirrored grid
     p = CouplerParams(0.0, 1.0)
     total, jt = 4, 0.55
-    coeff = su2_coefficients(total, jt)
+    coeff = _su2_coefficients(total, jt)
     out = evolve_lossless(fock_state(total, 0, cutoff=total), p, jt)
     for k in range(total + 1):
         assert abs(out.amplitudes[total - k, k] - coeff[k]) < 1e-12
@@ -243,7 +255,7 @@ def test_log_negativity_closed_matches_numerics():
         for jt in (0.3, math.pi / 4):
             st = evolve_lossless(fock_state(0, total, cutoff=total), p, jt)
             num = float(log_negativity(TwoModeDensityMatrix.from_pure(st)))
-            assert abs(num - float(log_negativity_closed(total, jt))) < 1e-10
+            assert abs(num - _log_negativity_closed(total, jt)) < 1e-10
 
 
 def test_noon_log_negativity_baseline():
@@ -270,8 +282,6 @@ def test_overflowing_binomials_raise_typed_error():
     assert math.isfinite(float(entropy_closed(1000, 0.3)))
     with pytest.raises(NumericalError, match="N = 2000"):
         entropy_closed(2000, 0.3)
-    with pytest.raises(NumericalError):
-        su2_coefficients(2000, 0.3)
 
 
 def test_overflowing_coupler_phase_raises_typed_error():

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from coupledwg import thermal
-from coupledwg.errors import CoupledwgError, NumericalError, ValidationError
+from coupledwg.errors import CoupledwgError, ValidationError
 from coupledwg.lossless import pt_spectrum_closed
 from coupledwg.thermal import (
     ThermalOccupation,
     _thermal_entropies,
-    thermal_diagonal_family,
     thermal_entropy,
-    thermal_pt_spectrum,
     thermal_weight,
 )
 
@@ -21,7 +19,11 @@ QUARTER = math.pi / 4
 ENTROPY_N2_NBAR1 = 0.4375                 # exact: weights {1/16, 1/32, 1/256}
 ENTROPY_N2_NBAR1_NORMALIZED = 1.123856189774724   # log2(25) - 88/25
 ENTROPY_N4_NBAR1 = 0.241567602534837
-PAIR_01_NBAR1 = 0.0441941738241592        # w(1,0) w(1,1) * sqrt(2)/4 * ... at pi/4
+
+
+def _family(total, jt, nbar, variant="as-printed"):
+    # the diagonal family at one (nbar, Jt) pair
+    return thermal._diagonal_families(total, np.array([jt]), np.array([nbar]), variant)[0]
 
 
 def test_weight_values_and_conventions():
@@ -42,6 +44,16 @@ def test_weight_rejects_bad_arguments():
         thermal_weight(-0.1, 0)
     with pytest.raises(ValidationError):
         thermal_weight(1.0, -1)
+    for nbar in (math.nan, math.inf, np.float64(math.nan), np.float64(math.inf)):
+        with pytest.raises(ValidationError, match="finite"):
+            thermal_weight(nbar, 1)
+
+
+def test_weight_holds_where_its_powers_overflow():
+    # nbar^n and (nbar + 1)^(n + 1) overflow a float, their ratio does not
+    for nbar, n, want in ((1.0, 1023, 5.562684646268003e-309), (1e308, 1, 1e-308)):
+        for value in (nbar, np.float64(nbar)):
+            assert thermal_weight(value, n) == want
 
 
 def test_occupation_validation():
@@ -54,7 +66,7 @@ def test_occupation_validation():
 
 def test_diagonal_entry_fixture():
     # n = 1 entry at N=2, Jt=pi/4, nbar=1: (1/4)^2 * 2 * (1/2) * (1/2) = 1/32
-    fam = thermal_diagonal_family(2, QUARTER, ThermalOccupation(1.0, 1.0))
+    fam = _family(2, QUARTER, 1.0)
     assert fam[1] == pytest.approx(0.03125, abs=1e-15)
 
 
@@ -71,7 +83,7 @@ def test_entropy_fixtures():
 def test_zero_occupation_leaves_single_weight():
     # At nbar=0 only the n=0 term survives: cos^{2N}(Jt) with weight 1.
     occ = ThermalOccupation(0.0, 0.0)
-    fam = thermal_diagonal_family(3, 0.7, occ)
+    fam = _family(3, 0.7, 0.0)
     assert fam[0] == pytest.approx(math.cos(0.7) ** 6, abs=1e-15)
     assert np.all(fam[1:] == 0.0)
     assert float(thermal_entropy(2, QUARTER, occ)) == pytest.approx(0.5, abs=1e-12)
@@ -85,59 +97,16 @@ def test_entropy_monotone_in_occupation():
     assert float(thermal_entropy(2, QUARTER, ThermalOccupation(1000.0, 1000.0))) < 1e-4
 
 
-def test_spectrum_size_and_order():
-    occ = ThermalOccupation(0.7, 0.7)
-    spec = thermal_pt_spectrum(3, 0.5, occ)
-    assert spec.shape == (16,)
-    assert np.all(np.diff(spec) <= 1e-15)
-
-
-def test_spectrum_pair_fixture():
-    occ = ThermalOccupation(1.0, 1.0)
-    spec = thermal_pt_spectrum(2, QUARTER, occ)
-    assert np.any(np.isclose(spec, PAIR_01_NBAR1, atol=1e-15))
-    assert np.any(np.isclose(spec, -PAIR_01_NBAR1, atol=1e-15))
-
-
-def test_equal_occupations_give_sign_pairs():
-    occ = ThermalOccupation(0.4, 0.4)
-    spec = thermal_pt_spectrum(3, 0.9, occ)
-    negs = np.sort(spec[spec < 0.0])
-    poss = np.sort(spec[spec > 0.0])[::-1]
-    # every negative eigenvalue has a positive partner of the same magnitude
-    for v in negs:
-        assert np.any(np.isclose(poss, -v, atol=1e-14))
-
-
-def test_unequal_occupations_follow_ordered_pair_loop():
-    # per-pair loop reference: weight_a(n) weight_b(m) sqrt(w_n w_m), signed
-    # + for n < m and - for n > m
-    occ = ThermalOccupation(1.0, 3.0)
-    total, jt = 3, 0.7
-    w = [math.comb(total, n) * math.sin(jt) ** (2 * n) * math.cos(jt) ** (2 * (total - n))
-         for n in range(total + 1)]
-    ref = [thermal_weight(1.0, n) ** 2 * w[n] for n in range(total + 1)]
-    for n in range(total + 1):
-        for m in range(total + 1):
-            if n != m:
-                mag = thermal_weight(1.0, n) * thermal_weight(3.0, m) * math.sqrt(w[n] * w[m])
-                ref.append(mag if n < m else -mag)
-    ours = thermal_pt_spectrum(total, jt, occ)
-    assert np.max(np.abs(ours - np.sort(ref)[::-1])) <= 1e-14
-
-
 def test_normalized_diagonal_sums_to_one():
-    occ = ThermalOccupation(2.0, 2.0)
-    fam = thermal_diagonal_family(4, 0.6, occ, variant="normalized")
+    fam = _family(4, 0.6, 2.0, variant="normalized")
     assert abs(fam.sum() - 1.0) < 1e-12
 
 
 def test_unit_weight_limit_matches_lossless_scaling():
     # With both occupations equal the diagonal family is the lossless one
     # multiplied by w(nbar, n)^2; check the ratio explicitly.
-    occ = ThermalOccupation(1.5, 1.5)
     jt = 0.8
-    fam = thermal_diagonal_family(2, jt, occ)
+    fam = _family(2, jt, 1.5)
     lossless = pt_spectrum_closed(2, jt)
     lossless_diag = np.sort(lossless[lossless >= 0.0])[::-1]
     for n in range(3):
@@ -152,13 +121,7 @@ def test_bad_variant_rejected():
     with pytest.raises(ValidationError):
         thermal_entropy(2, QUARTER, occ, variant="renormalised")
     with pytest.raises(ValidationError):
-        thermal_pt_spectrum(2, QUARTER, occ, variant="")
-
-
-def test_weight_overflow_raises_typed_error():
-    for nbar in (1e308, np.float64(1e308)):  # numpy scalars overflow quietly
-        with pytest.raises(NumericalError):
-            thermal_weight(nbar, 1)
+        thermal_entropy(2, QUARTER, occ, variant="")
 
 
 # --- column form: every (nbar, Jt) pair of two grids in one call, bit for
@@ -202,12 +165,16 @@ def test_thermal_columns_equal_point_calls(variant, total, jts, nbars):
     assert np.array_equal(got.ravel(), want)
 
 
-def test_occupation_overflow_fires_at_the_first_bad_nbar():
-    # nbar^1 / (nbar + 1)^2 overflows from nbar of about 1.3e154 on
-    nbars = np.array([0.5, 1e100, 3.0, 1e200, 2.0, 1e300])
-    want = _first_error(_point_calls(2, _JTS, nbars, "as-printed"))
-    assert want is not None and "nbar=1e+200" in want[1]
-    assert _column_error(lambda: _thermal_entropies(2, _JTS, nbars)) == want
+def test_huge_occupations_equal_point_calls():
+    # nbar^1 / (nbar + 1)^2 overflows as a ratio of powers from nbar of about
+    # 1.3e154 on, the weight does not; from 1e200 on its square underflows to
+    # 0, so the normalized family has nothing to normalize
+    nbars = [0.5, 1e100, 3.0, 1e200, 2.0, 1e300]
+    want = [float(call()) for call in _point_calls(2, _JTS, nbars, "as-printed")]
+    assert np.array_equal(_thermal_entropies(2, _JTS, nbars).ravel(), want)
+    want = _first_error(_point_calls(2, _JTS, nbars, "normalized"))
+    assert want == (ValidationError, "cannot normalize an all-zero spectrum")
+    assert _column_error(lambda: _thermal_entropies(2, _JTS, nbars, "normalized")) == want
 
 
 def test_all_zero_family_fires_as_the_point_call(monkeypatch):
