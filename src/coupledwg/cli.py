@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -486,6 +487,11 @@ def run(cfg: RunConfig) -> int:
 
 # --- argument plumbing -------------------------------------------------------
 
+# argparse's pattern of a negative number, a value and not a flag, widened
+# from -1 and -1.5 to exponent forms such as -1e3
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$|^-(\d+\.?\d*|\.\d+)[eE][-+]?\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coupledwg",
@@ -494,6 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, spec in _COMMANDS.items():
         p = sub.add_parser(command)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         if command == "figure":
             p.add_argument("figure_id", help="one of " + ", ".join(sorted(FIGURES)))
         p.add_argument("--config", default=None,

@@ -32,10 +32,11 @@ and no Python loop runs over the times.  Each chunk of the grid is checked
 for its trace deficit, renormalized and Hermitized on the compact layout.
 Drawn as states, each is then scattered into its grid matrix and validated
 one time at a time.  Drawn as measures (DampedStates.measures), the chunk is
-validated and measured on the layout itself: t-independent tables gather
-the occupied sector blocks of all its states, and of their partial
-transposes, for fock._sector_eigvalsh, one stacked solve per block size,
-and the diagonals of the reduced states.  No dense state is built then.  The
+validated and measured on the layout itself: gather tables, built once per
+call by fock._sector_tables from the layout's grid positions, read the
+occupied sector blocks of all its states, and of their partial transposes,
+for fock._sector_eigvalsh, one stacked solve per block size; the layout's
+diagonal gives the reduced states.  No dense state is built then.  The
 grid is walked in chunks of _CHUNK_BYTES, so at most one chunk, and one
 dense state when states are drawn, is alive however many times are asked
 for.
@@ -55,14 +56,13 @@ from .errors import NumericalError, TruncationError, ValidationError
 from .fock import (
     MeasureValue,
     TwoModeDensityMatrix,
-    _by_size,
     _checked_spectra,
     _entropies,
     _gated,
     _log_negativities,
     _ordered_sum,
     _sector_eigvalsh,
-    _sector_grid,
+    _sector_tables,
     entropy_bits,
     log_negativity,
     purity,
@@ -284,7 +284,6 @@ class _SectorTerms(NamedTuple):
     cols: np.ndarray
     partner: np.ndarray    # the entry at the transposed grid position
     diag: np.ndarray       # the entries on the grid diagonal
-    starts: np.ndarray     # [M * d + M']: where pair (M, M') starts, -1 if absent
 
 
 def _sector_terms(ent: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -315,7 +314,7 @@ def _sector_terms(ent: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         pairs.append((m, m2, sl))
     grid_rows, grid_cols, partner = layout
     diag = np.flatnonzero(grid_rows == grid_cols)
-    return _SectorTerms(pairs, lost, grid_rows, grid_cols, partner, diag, start_of)
+    return _SectorTerms(pairs, lost, grid_rows, grid_cols, partner, diag)
 
 
 def _sector_stack(terms: _SectorTerms, p: DampedParams, cutoff: int,
@@ -394,27 +393,16 @@ def _measure_tables(terms: _SectorTerms, d: int) -> _MeasureTables | None:
     """The t-independent gather tables of the chunk measures, or None when
     rho(t) is not block-diagonal in n_a + n_b: its layout then holds a pair
     (M, M') with M != M'."""
-    if any(m != m2 for m, m2, _ in terms.pairs):
+    blocks = _sector_tables(terms.rows, terms.cols, d, 1, False)
+    if blocks is None:
         return None
+    transposed = _sector_tables(terms.rows, terms.cols, d, -1, True)
     pad = terms.partner.size
-
-    def position(na, nb, ma, mb):
-        # rho's entry at (na, nb), (ma, mb) in a padded row
-        total = na + nb
-        inside = (total == ma + mb) & (total < d)
-        start = np.where(inside, terms.starts[np.where(inside, total * (d + 1), 0)], -1)
-        return np.where(start >= 0, start + na * (total + 1) + ma, pad)
-
-    tables = []
-    for sign, transposed in ((1, False), (-1, True)):
-        *grid, mask, sizes = _sector_grid(d, sign, transposed)
-        index = np.where(mask, position(*grid), pad)
-        tables.append(_by_size(index, sizes, (index != pad).any(axis=(1, 2))))
-    n, k = np.divmod(np.arange(d * d), d)
-    reduced = position(n, k, n, k).reshape(d, d)
+    reduced = np.full((d, d), pad)
+    reduced.flat[terms.rows[terms.diag]] = terms.diag
     # the padded row, the blocks, the reduced terms and the reduced states
-    gathered = pad + 1 + sum(t.size for t in tables[0] + tables[1]) + 2 * reduced.size
-    return _MeasureTables(*tables, reduced, gathered)
+    gathered = pad + 1 + sum(t.size for t in blocks + transposed) + 2 * reduced.size
+    return _MeasureTables(blocks, transposed, reduced, gathered)
 
 
 def _chunk_measures(chunk: np.ndarray, terms: _SectorTerms, tables: _MeasureTables,
@@ -547,6 +535,8 @@ _PURITY_VARIANTS = ("as-printed", "rate-times-t")
 
 def purity_closed(p: DampedParams, t: float, variant: str = "as-printed") -> MeasureValue:
     """Closed-form purity of the damped pair, exactly 1 at t = 0 or gamma = 0.
+    A t > 0 at which th = (sqrt(2) gamma + i J) t underflows to 0 gives the
+    t -> 0 limit, 1.
 
     The two variants differ in the mixing term of the denominator:
     "as-printed" uses gamma + i J t, "rate-times-t" uses (gamma + i J) t.
@@ -564,9 +554,9 @@ def purity_closed(p: DampedParams, t: float, variant: str = "as-printed") -> Mea
         raise ValidationError(f"variant must be one of {_PURITY_VARIANTS}, got {variant!r}")
     if not (math.isfinite(t) and t >= 0.0):
         raise ValidationError(f"t must be finite and >= 0, got {t}")
-    if t == 0.0 or p.gamma == 0.0:
-        return MeasureValue("purity", 1.0)
     th = _theta(p, t)
+    if th == 0.0 or p.gamma == 0.0:  # th underflows only where 4 gamma t does: the limit 1
+        return MeasureValue("purity", 1.0)
     if not cmath.isfinite(th):
         raise NumericalError(f"(sqrt(2) gamma + i J) t = {th} overflows a float")
     if variant == "as-printed":

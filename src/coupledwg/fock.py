@@ -15,9 +15,9 @@ of equal size share one stacked eigvalsh call: a matrix takes at most d calls
 (d = cutoff + 1), of sizes 1 to d, at a cost of the sum of n^3 over its
 occupied sectors instead of d^6.  An all-zero sector, such as one above the
 capacity n_a + n_b <= cutoff, is not solved; its eigenvalues are 0.  One
-dense state gathers its blocks from its 4-index view, once the labelling is
-read from its exact zeros; a chunk of propagated states gathers them from
-its compact layout (damped.py) and is solved in the same calls.  A matrix
+builder, _sector_tables, finds the blocks from where a matrix's entries sit:
+a dense state's nonzero entries, or the compact layout of a chunk of
+propagated states (damped.py), which is solved in the same calls.  A matrix
 block-diagonal in neither labelling, such as a squeezed state after the
 coupler, falls back to one dense (d^2) x (d^2) solve.
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -220,45 +219,40 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
         ) from exc
 
 
-@lru_cache(maxsize=None)
-def _sectors(d: int, sign: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 2d - 1 sectors of n_a + sign * n_b on the grid (sign +1 or -1),
-    one row each: the (n_a, n_b) of its members, padded to d slots with
-    (0, 0), and the mask of real slots, which is a prefix of each row."""
-    row = np.arange(2 * d - 1)[:, None]
-    a = np.maximum(0, row - d + 1) + np.arange(d)
-    b = row - a if sign > 0 else a - row + d - 1
-    valid = (a < d) & (b >= 0) & (b < d)
-    table = (np.where(valid, a, 0), np.where(valid, b, 0), valid)
-    for arr in table:
-        arr.setflags(write=False)
-    return table
-
-
-def _sector_grid(d: int, sign: int, transposed: bool) -> tuple[np.ndarray, ...]:
-    """Where the sector blocks of n_a + sign * n_b read a grid matrix rho:
-    slot (i, j) of sector s holds rho's entry at (n_a, n_b, m_a, m_b), four
-    (2d - 1, d, d) index arrays; transposed gives the blocks of the partial
-    transpose, PT((a, b), (a', b')) = rho((a, b'), (a', b)).  Each block is
-    the top-left corner of its slots (mask); sizes holds its edge."""
-    a, b, valid = _sectors(d, sign)
-    row_b, col_b = b[:, :, None], b[:, None, :]
+def _sector_tables(rows: np.ndarray, cols: np.ndarray, d: int, sign: int,
+                   transposed: bool) -> list | None:
+    """Where the occupied sector blocks of n_a + sign * n_b (sign +1 or -1)
+    read a grid matrix given as its entries at grid rows and cols, or None
+    when an entry couples two sectors: per block size n, in increasing n, a
+    (sectors, n, n) table of entry indices, sectors in increasing order and
+    members by n_a.  A sector is occupied when an entry touches it; a slot
+    no entry fills holds rows.size, for a 0 padded after the entries.
+    transposed gives the blocks of PT((a, b), (a', b')) = rho((a, b'), (a', b)).
+    Sector s holds n_a + sign * n_b = s, less d - 1 for sign -1: its
+    min(s + 1, 2d - 1 - s) members start at n_a = max(0, s - d + 1)."""
+    na, nb = np.divmod(rows, d)
+    ma, mb = np.divmod(cols, d)
     if transposed:
-        row_b, col_b = col_b, row_b
-    grid = np.broadcast_arrays(a[:, :, None], row_b, a[:, None, :], col_b)
-    return (*grid, valid[:, :, None] & valid[:, None, :], valid.sum(axis=1))
-
-
-def _by_size(blocks: np.ndarray, sizes: np.ndarray, occupied: np.ndarray) -> list:
-    """The occupied blocks of a padded sector stack (..., 2d - 1, d, d) laid
-    out as by _sector_grid, whether entries or where to gather them from:
-    one stack (..., sectors, n, n) per block size n, in increasing n."""
-    groups = []
-    for n in range(1, blocks.shape[-1] + 1):
-        pick = occupied & (sizes == n)
-        if pick.any():
-            groups.append(blocks[..., pick, :n, :n])
-    return groups
+        nb, mb = mb, nb
+    shift = d - 1 if sign < 0 else 0
+    sector = na + sign * nb + shift
+    if not np.array_equal(sector, ma + sign * mb + shift):
+        return None
+    occupied = np.zeros(2 * d - 1, dtype=bool)
+    occupied[sector] = True
+    # size n holds sectors n - 1 and 2d - 1 - n: the occupied ones by size, then sector
+    order = np.column_stack((np.arange(d), np.arange(2 * d - 2, d - 2, -1))).ravel()[:-1]
+    picked = order[occupied[order]]
+    edge = np.minimum(np.arange(1, 2 * d), np.arange(2 * d - 1, 0, -1))
+    sizes = edge[picked]
+    start = np.zeros(2 * d - 1, dtype=int)
+    start[picked] = np.cumsum(sizes * sizes) - sizes * sizes
+    first = np.maximum(0, sector - d + 1)
+    flat = np.full(int((sizes * sizes).sum()), rows.size)
+    flat[start[sector] + (na - first) * edge[sector] + ma - first] = np.arange(rows.size)
+    counts = np.bincount(sizes, minlength=d + 1)
+    groups = np.split(flat, np.cumsum(counts * np.arange(d + 1) ** 2)[:-1])
+    return [g.reshape(-1, n, n) for n, g in enumerate(groups) if g.size]
 
 
 def _sector_eigvalsh(groups: Iterable[np.ndarray], count: int) -> np.ndarray:
@@ -277,16 +271,15 @@ def _spectrum(ent: np.ndarray, d: int, transposed: bool = False) -> np.ndarray:
     global order; those of an all-zero sector are left out.  When rho is
     block-diagonal in n_a + n_b or n_a - n_b, the occupied blocks of rho, or
     of its partial transpose in the other labelling, are gathered from its
-    4-index view for _sector_eigvalsh; any other matrix takes one dense
+    nonzero entries for _sector_eigvalsh; any other matrix takes one dense
     solve."""
-    four = ent.reshape(d, d, d, d)  # [n_a, n_b, m_a, m_b]
-    nonzero = np.count_nonzero(ent)
+    flat = np.flatnonzero(ent != 0)
+    rows, cols = np.divmod(flat, d * d)
     for sign in (1, -1):  # rho block-diagonal in n_a + n_b, then in n_a - n_b
-        *grid, mask, sizes = _sector_grid(d, -sign if transposed else sign, transposed)
-        blocks = np.where(mask, four[tuple(grid)], 0)
-        if np.count_nonzero(blocks) == nonzero:
-            groups = _by_size(blocks[None], sizes, blocks.any(axis=(1, 2)))
-            return _sector_eigvalsh(groups, 1)[0]
+        tables = _sector_tables(rows, cols, d, -sign if transposed else sign, transposed)
+        if tables is not None:
+            padded = np.append(ent.reshape(-1)[flat], 0)
+            return _sector_eigvalsh((padded[t][None] for t in tables), 1)[0]
     return _eigvalsh(partial_transpose(ent) if transposed else ent)
 
 
@@ -420,9 +413,9 @@ def reduced_state(rho, keep: str = "a") -> np.ndarray:
 
 def _entropy_bits(weights: np.ndarray) -> np.ndarray:
     """Shannon entropy (base 2) over the last axis of non-negative weights,
-    0 log 0 = 0."""
+    0 log 0 = 0, and +0.0 where the terms sum to -0.0."""
     logs = np.log2(weights, out=np.zeros(weights.shape), where=weights > 0.0)
-    return _ordered_sum(-weights * logs)
+    return _ordered_sum(-weights * logs) + 0.0
 
 
 def entropy_bits(probabilities: Iterable[float]) -> float:

@@ -53,8 +53,9 @@ def symplectic_eigenvalues(state, partial_transposed: bool = False) -> tuple:
         det_v = float(np.linalg.det(cov))
     delta = det_a + det_b + (-2.0 * det_c if partial_transposed else 2.0 * det_c)
     disc = delta * delta - 4.0 * det_v
-    if not math.isfinite(disc):
-        raise NumericalError(f"symplectic invariants overflow a float (det {det_v:.3e})")
+    for name, value in (("Delta", delta), ("discriminant", disc)):
+        if not math.isfinite(value):
+            raise NumericalError(f"symplectic invariants overflow a float ({name} {value:.3e})")
     scale = max(1.0, delta * delta, abs(det_v))
     if disc < DISCRIMINANT_FLOOR * scale:
         raise NumericalError(f"symplectic discriminant {disc:.3e} is negative")
@@ -103,9 +104,11 @@ def tmsv_covariance(r: float) -> np.ndarray:
 
 def _cosh_sinh_2r(r: float) -> tuple[float, float]:
     try:
-        return math.cosh(2.0 * r), math.sinh(2.0 * r)
+        if math.isfinite(2.0 * r):  # cosh(inf) is inf, and raises nothing
+            return math.cosh(2.0 * r), math.sinh(2.0 * r)
     except OverflowError:
-        raise NumericalError(f"squeezing r = {r:g} overflows a float") from None
+        pass
+    raise NumericalError(f"squeezing r = {r:g} overflows a float")
 
 
 def vacuum_covariance() -> np.ndarray:

@@ -37,7 +37,6 @@ from .fock import (
     _entropy_bits,
     _gated,
     _pure_log_negativities,
-    _sectors,
     _total_photon_grid,
     noon_state,
 )
@@ -173,12 +172,10 @@ def _assemble_sectors(cutoff: int, block) -> np.ndarray:
     """Grid operator with block(total) on each photon sector that fits on the
     grid (total <= cutoff) and the identity on the corner sectors above it."""
     d = cutoff + 1
-    a, b, valid = _sectors(d, 1)
-    flat = a[:d] * d + b[:d]  # sectors 0..cutoff, members in n_a order
-    total, row, col = np.nonzero(valid[:d, :, None] & valid[:d, None, :])
     out = np.eye(d * d, dtype=complex)
-    out[flat[total, row], flat[total, col]] = np.concatenate(
-        [block(n).ravel() for n in range(d)])
+    for total in range(d):
+        flat = np.arange(total + 1) * cutoff + total  # |n, total - n>, n = 0..total
+        out[np.ix_(flat, flat)] = block(total)
     return out
 
 

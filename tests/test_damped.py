@@ -584,6 +584,13 @@ def test_purity_boundary_cases():
     assert float(purity_closed(P, 0.0)) == 1.0
 
 
+def test_purity_at_an_underflowing_theta_is_the_small_time_limit():
+    # th = (sqrt(2) gamma + i J) t is 0 at t = 5e-324: the t -> 0 limit, 1
+    for variant in ("as-printed", "rate-times-t"):
+        assert float(purity_closed(DampedParams(0.0, 1e-12, 0.05), 5e-324, variant)) == 1.0
+    assert float(purity_closed(DampedParams(0.0, 1.0, 0.05), 5e-324)) == 1.0
+
+
 def test_purity_clamps_early_overshoot():
     # the raw closed form exceeds 1 slightly at small times; the clamp holds
     assert float(purity_closed(DampedParams(0.0, 3.0, 0.05), 1.0)) == 1.0

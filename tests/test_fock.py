@@ -33,6 +33,8 @@ from coupledwg.fock import (
     von_neumann_entropy,
 )
 from coupledwg.gaussian import two_mode_squeezed_state
+from coupledwg.lossless import entropy_closed
+from coupledwg.thermal import ThermalOccupation, thermal_entropy
 
 
 def _negativity(rho):
@@ -419,11 +421,10 @@ def _assert_matches_dense(rho):
 
 def _stacked_spectra(ents, d, sign, transposed):
     # one solve for a stack of states, over the sectors any of them occupies
-    *grid, mask, sizes = fock._sector_grid(d, sign, transposed)
-    blocks = np.stack([np.where(mask, ent.reshape(d, d, d, d)[tuple(grid)], 0)
-                       for ent in ents])
-    groups = fock._by_size(blocks, sizes, blocks.any(axis=(0, 2, 3)))
-    return fock._sector_eigvalsh(groups, len(ents))
+    flat = np.flatnonzero(np.any([ent != 0 for ent in ents], axis=0))
+    tables = fock._sector_tables(*np.divmod(flat, d * d), d, sign, transposed)
+    padded = np.stack([np.append(ent.reshape(-1)[flat], 0) for ent in ents])
+    return fock._sector_eigvalsh((padded[:, t] for t in tables), len(ents))
 
 
 @pytest.mark.parametrize("kind", ["sum", "difference", "fallback"])
@@ -456,6 +457,70 @@ def test_sector_spectrum_matches_dense_solve(kind, solved_widths):
                 assert np.abs(_with_zeros(row, d * d) - dense).max() <= 1e-12
 
 
+def _four_index_tables(rows, cols, d, sign, transposed):
+    # the brute-force referee of fock._sector_tables: every sector of the
+    # grid padded to d slots and read from the (d, d, d, d) view of a matrix
+    # that holds k + 1 at entry k's grid position
+    marks = np.zeros((d * d, d * d), dtype=int)
+    marks[rows, cols] = np.arange(1, rows.size + 1)
+    sector = np.arange(2 * d - 1)[:, None]
+    a = np.maximum(0, sector - d + 1) + np.arange(d)
+    b = sector - a if sign > 0 else a - sector + d - 1
+    valid = (a < d) & (b >= 0) & (b < d)
+    a, b = np.where(valid, a, 0), np.where(valid, b, 0)
+    row_b, col_b = b[:, :, None], b[:, None, :]
+    if transposed:
+        row_b, col_b = col_b, row_b
+    grid = marks.reshape(d, d, d, d)[a[:, :, None], row_b, a[:, None, :], col_b]
+    blocks = np.where(valid[:, :, None] & valid[:, None, :], grid, 0)
+    if np.count_nonzero(blocks) != rows.size:
+        return None
+    sizes, occupied = valid.sum(axis=1), blocks.any(axis=(1, 2))
+    groups = [blocks[occupied & (sizes == n), :n, :n] for n in range(1, d + 1)]
+    return [np.where(g > 0, g - 1, rows.size) for g in groups if g.size]
+
+
+def _random_supports(rng, d, sign, transposed):
+    # supports block-diagonal in the labelling: some sectors, each filled at
+    # random, in a shuffled entry order; then the same with one entry that
+    # couples two sectors
+    na, nb = np.divmod(np.arange(d * d), d)
+    rows, cols = np.divmod(np.arange(d ** 4), d * d)
+    row_b, col_b = (nb[cols], nb[rows]) if transposed else (nb[rows], nb[cols])
+    row_sector, col_sector = na[rows] + sign * row_b, na[cols] + sign * col_b
+    inside = row_sector == col_sector
+    for density in (0.2, 0.6, 1.0):
+        keep = rng.random(2 * d - 1) < 0.6
+        picked = inside & keep[row_sector + (d - 1 if sign < 0 else 0)]
+        picked &= rng.random(d ** 4) < density
+        support = rng.permutation(np.flatnonzero(picked))
+        yield support, True
+        across = rng.choice(np.flatnonzero(~inside))
+        yield rng.permutation(np.append(support, across)), False
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sector_tables_match_four_index_gather(sign, transposed):
+    rng = np.random.default_rng(5 + sign + 2 * transposed)
+    corner = partial = False
+    for d in range(2, 8):
+        for support, blocked in _random_supports(rng, d, sign, transposed):
+            rows, cols = np.divmod(support, d * d)
+            got = fock._sector_tables(rows, cols, d, sign, transposed)
+            want = _four_index_tables(rows, cols, d, sign, transposed)
+            if not blocked:
+                assert got is None and want is None
+                continue
+            assert [t.shape for t in got] == [t.shape for t in want]
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            totals = rows // d + rows % d
+            corner |= bool((totals >= d).any())
+            partial |= any(bool((t == rows.size).any() & (t < rows.size).any()) for t in got)
+    assert fock._sector_tables(np.zeros(0, int), np.zeros(0, int), 3, sign, transposed) == []
+    assert corner and partial
+
+
 def test_negative_eigenvalue_in_one_sector_is_rejected(solved_widths):
     # the one-photon sector {|0,1>, |1,0>} holds eigenvalues 1.1 and -0.1
     ent = np.zeros((9, 9))
@@ -464,6 +529,14 @@ def test_negative_eigenvalue_in_one_sector_is_rejected(solved_widths):
     with pytest.raises(ValidationError, match="eigenvalue"):
         TwoModeDensityMatrix(2, ent)
     assert max(solved_widths) <= 3
+
+
+def test_zero_entropies_are_positive_zero():
+    # -w log2 w is -0.0 at w = 1; the library reports +0.0, as the CLI does
+    values = (entropy_closed(2, 0.0), thermal_entropy(2, 0.0, ThermalOccupation(0, 0)),
+              von_neumann_entropy(np.diag([1.0, 0.0])), entropy_bits([1.0, 0.0]))
+    for value in values:
+        assert math.copysign(1.0, float(value)) == 1.0
 
 
 def test_purity_matches_trace_of_square():

@@ -204,3 +204,20 @@ def test_overflow_raises_typed_errors():
                 vacuum_evolved_covariance(P, 1.0, 300.0, 300.0)):
         with pytest.raises(NumericalError):
             log_negativity_gaussian(cov)
+
+
+def test_squeezing_whose_double_overflows_is_refused():
+    # 2r = inf: math.cosh(inf) is inf and raises nothing, so the guard tests 2r
+    for r in (1e308, -1e308, 9e307):
+        with pytest.raises(NumericalError, match="squeezing r = .* overflows a float"):
+            tmsv_covariance(r)
+        with pytest.raises(NumericalError, match="squeezing r = .* overflows a float"):
+            thermal_evolved_covariance(P, 1.0, 0.5, 0.5, r, 0.25)
+        with pytest.raises(NumericalError, match="squeezing r = .* overflows a float"):
+            vacuum_evolved_covariance(P, 1.0, 0.25, r)
+
+
+def test_overflow_message_names_the_invariant_that_overflowed():
+    # at r = 200 det V rounds to 0 while Delta is inf
+    with pytest.raises(NumericalError, match=r"overflow a float \(Delta inf\)"):
+        log_negativity_gaussian(tmsv_covariance(200.0))
