@@ -6,6 +6,12 @@ n_a + n_b <= cutoff so that photon-conserving (and photon-losing) dynamics stay
 exact on the grid.  All logarithms are base 2: entropies and logarithmic
 negativities are reported in bits.
 
+A TwoModeDensityMatrix holds its occupied entries: the grid rows, columns
+and values of its nonzero entries, in row-major order.  A dense argument is
+scanned for them once; from_pure takes them from the k nonzero amplitudes
+(k^2 products) and never builds the dense (d^2) x (d^2) outer product, which
+it builds on the first read of entries and then keeps.
+
 Density-matrix validation and the negativity solve eigenproblems sector by
 sector.  The coupler conserves n_a + n_b and loss keeps coherence offsets, so
 a Fock or NOON input stays block-diagonal in n_a + n_b; its partial transpose
@@ -16,10 +22,11 @@ of equal size share one stacked eigvalsh call: a matrix takes at most d calls
 occupied sectors instead of d^6.  An all-zero sector, such as one above the
 capacity n_a + n_b <= cutoff, is not solved; its eigenvalues are 0.  One
 builder, _sector_tables, finds the blocks from where a matrix's entries sit:
-a dense state's nonzero entries, or the compact layout of a chunk of
-propagated states (damped.py), which is solved in the same calls.  A matrix
+a state's occupied entries, or the compact layout of a chunk of propagated
+states (damped.py), which is solved in the same calls.  A matrix
 block-diagonal in neither labelling, such as a squeezed state after the
-coupler, falls back to one dense (d^2) x (d^2) solve.
+coupler, falls back to one dense (d^2) x (d^2) solve, the only use of a
+pure state's dense form in validation and the measures.
 
 The measures and their gates are written for stacks of states (log2(1 + 2N)
 from partial-transpose eigenvalues, reduced-state entropy, the MeasureValue
@@ -40,9 +47,10 @@ NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9  # eigenvalues above this are treated as rounding noise
-# block edge of the Hermiticity check, which compares block pairs (i, j) and
-# (j, i) for j >= i: validating a large matrix then allocates no full-size
-# temporaries (a cutoff-40 matrix is 45 MB) and reads rows contiguously
+# block edge of the Hermiticity check of a dense argument, which compares
+# block pairs (i, j) and (j, i) for j >= i: it then allocates no temporary of
+# the matrix's size and reads rows contiguously (a state from from_pure is
+# checked on its occupied entries instead)
 _HERM_CHECK_BLOCK = 256
 
 # measure kind -> the range its values are clamped into after the gate
@@ -140,8 +148,11 @@ class TwoModePureState:
 class TwoModeDensityMatrix:
     """Validated density matrix on the two-mode grid (Hermitian, unit trace, PSD).
 
-    A read-only complex array that no writeable array shares is kept as it
-    is; any other entries are copied, so the caller cannot change them."""
+    It holds its occupied entries (see the module docstring).  A read-only
+    complex array that no writeable array shares becomes entries as it is;
+    any other array is copied, so the caller cannot change it.  from_pure
+    hands over the pure state itself as entries: entries is then built on
+    first access, read-only, and kept."""
 
     cutoff: int
     entries: np.ndarray
@@ -149,28 +160,54 @@ class TwoModeDensityMatrix:
     def __post_init__(self):
         d = self.cutoff + 1
         ent = self.entries
-        if not (_sealed(ent) and ent.dtype == complex):
-            ent = np.array(ent, dtype=complex)
-        if ent.shape != (d * d, d * d):
-            raise ValidationError(f"entries must have shape {(d*d, d*d)}, got {ent.shape}")
-        r = _HERM_CHECK_BLOCK
-        herm = np.max([np.abs(ent[i:i + r, j:j + r] - ent[j:j + r, i:i + r].conj().T).max()
-                       for i in range(0, d * d, r) for j in range(i, d * d, r)])
-        _checked_spectra(np.array([herm]), np.array([ent.trace()]),
-                         lambda _: _spectrum(ent, d)[None])
+        if isinstance(ent, TwoModePureState):  # from from_pure: |psi><psi|
+            psi = ent.flat()
+            if psi.size != d * d:
+                raise ValidationError(f"entries must have shape {(d*d, d*d)}, "
+                                      f"got {(psi.size, psi.size)}")
+            object.__delattr__(self, "entries")  # built by __getattr__ when read
+            occupied = _pure_support(psi)
+            rows, cols, values = occupied
+            herm = np.abs(values - _transposed_partners(*occupied, d).conj()).max(initial=0.0)
+            on = rows == cols
+            diagonal = np.zeros(d * d, dtype=complex)
+            diagonal[rows[on]] = values[on]
+            trace = diagonal.sum()  # summed as entries.trace() sums
+        else:
+            psi = None
+            if not (_sealed(ent) and ent.dtype == complex):
+                ent = np.array(ent, dtype=complex)
+            if ent.shape != (d * d, d * d):
+                raise ValidationError(f"entries must have shape {(d*d, d*d)}, got {ent.shape}")
+            r = _HERM_CHECK_BLOCK
+            herm = np.max([np.abs(ent[i:i + r, j:j + r] - ent[j:j + r, i:i + r].conj().T).max()
+                           for i in range(0, d * d, r) for j in range(i, d * d, r)])
+            trace = ent.trace()
+            ent.setflags(write=False)
+            object.__setattr__(self, "entries", ent)
+            occupied = _support(ent, d)
+        object.__setattr__(self, "_psi", psi)
+        object.__setattr__(self, "_occupied", occupied)
+        _checked_spectra(np.array([herm]), np.array([trace]),
+                         lambda _: _spectrum(self, d, support=occupied)[None])
+
+    def __getattr__(self, name):
+        # only a state from from_pure lacks an attribute, entries, until it is read
+        if name != "entries":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        psi = self._psi
+        try:
+            ent = np.outer(psi, psi.conj())
+        except MemoryError:
+            raise NumericalError(f"the cutoff-{self.cutoff} density matrix ({psi.size}^2 "
+                                 "complex entries) does not fit in memory") from None
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
+        return ent
 
     @classmethod
     def from_pure(cls, state: TwoModePureState) -> "TwoModeDensityMatrix":
-        psi = state.flat()
-        try:
-            outer = np.outer(psi, psi.conj())
-        except MemoryError:
-            raise NumericalError(f"the cutoff-{state.cutoff} density matrix ({psi.size}^2 "
-                                 "complex entries) does not fit in memory") from None
-        outer.setflags(write=False)  # handed over: validation keeps it uncopied
-        return cls(state.cutoff, outer)
+        return cls(state.cutoff, state)
 
 
 def _sealed(arr) -> bool:
@@ -266,21 +303,50 @@ def _sector_eigvalsh(groups: Iterable[np.ndarray], count: int) -> np.ndarray:
                           + [_eigvalsh(g).reshape(count, -1) for g in groups], axis=1)
 
 
-def _spectrum(ent: np.ndarray, d: int, transposed: bool = False) -> np.ndarray:
-    """Eigenvalues of a grid matrix rho, or of its partial transpose, in no
-    global order; those of an all-zero sector are left out.  When rho is
-    block-diagonal in n_a + n_b or n_a - n_b, the occupied blocks of rho, or
-    of its partial transpose in the other labelling, are gathered from its
-    nonzero entries for _sector_eigvalsh; any other matrix takes one dense
-    solve."""
+def _support(ent: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid rows, columns and values of the nonzero entries of a grid matrix,
+    in row-major order."""
     flat = np.flatnonzero(ent != 0)
     rows, cols = np.divmod(flat, d * d)
+    return rows, cols, ent.reshape(-1)[flat]
+
+
+def _pure_support(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_support of np.outer(psi, psi.conj()), from the products of the
+    nonzero amplitudes alone; a product that underflows to 0 is left out."""
+    occupied = np.flatnonzero(psi)
+    products = np.outer(psi[occupied], psi[occupied].conj()).reshape(-1)
+    keep = np.flatnonzero(products)
+    rows, cols = np.divmod(keep, occupied.size)
+    return occupied[rows], occupied[cols], products[keep]
+
+
+def _transposed_partners(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                         d: int) -> np.ndarray:
+    """For each entry of a support, the value at (cols, rows): 0 where that
+    entry is not occupied."""
+    flat = rows * (d * d) + cols
+    want = cols * (d * d) + rows
+    at = np.searchsorted(flat, want)
+    at[np.append(flat, -1)[at] != want] = flat.size
+    return np.append(values, 0)[at]
+
+
+def _spectrum(rho, d: int, transposed: bool = False, support=None) -> np.ndarray:
+    """Eigenvalues of a grid matrix rho, or of its partial transpose, in no
+    global order; those of an all-zero sector are left out.  support is rho's
+    _support, found from rho when not given.  When rho is block-diagonal in
+    n_a + n_b or n_a - n_b, the occupied blocks of rho, or of its partial
+    transpose in the other labelling, are gathered from the support for
+    _sector_eigvalsh; any other matrix takes one dense solve, which alone
+    reads rho's dense form (rho may be a TwoModeDensityMatrix)."""
+    rows, cols, values = _support(rho, d) if support is None else support
     for sign in (1, -1):  # rho block-diagonal in n_a + n_b, then in n_a - n_b
         tables = _sector_tables(rows, cols, d, -sign if transposed else sign, transposed)
         if tables is not None:
-            padded = np.append(ent.reshape(-1)[flat], 0)
+            padded = np.append(values, 0)
             return _sector_eigvalsh((padded[t][None] for t in tables), 1)[0]
-    return _eigvalsh(partial_transpose(ent) if transposed else ent)
+    return _eigvalsh(partial_transpose(rho) if transposed else _as_entries(rho)[0])
 
 
 def make_pure_state(spec: StateSpec, cutoff: int) -> TwoModePureState:
@@ -329,6 +395,9 @@ def state_from_amplitudes(amps: dict[tuple[int, int], complex] | np.ndarray,
     grid = np.zeros((d, d), dtype=complex)
     if isinstance(amps, dict):
         for (na, nb), v in amps.items():
+            if not (0 <= na <= cutoff and 0 <= nb <= cutoff):
+                raise ValidationError(f"amplitude key {(na, nb)} lies outside the "
+                                      f"cutoff-{cutoff} grid")
             grid[na, nb] = v
     else:
         grid[...] = amps
@@ -346,6 +415,12 @@ def _as_entries(rho) -> tuple[np.ndarray, int]:
     if d * d != mat.shape[0] or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"matrix of shape {mat.shape} is not a two-mode grid operator")
     return mat, d
+
+
+def _held_pure(rho) -> bool:
+    """Whether rho is a state from from_pure, whose measures read its
+    occupied entries and not its dense form."""
+    return isinstance(rho, TwoModeDensityMatrix) and rho._psi is not None
 
 
 def partial_transpose(rho) -> np.ndarray:
@@ -381,8 +456,11 @@ def _log_negativities(evals: np.ndarray) -> np.ndarray:
 
 def log_negativity(rho) -> MeasureValue:
     """log2(1 + 2 * negativity); zero exactly for PPT states."""
-    ent, d = _as_entries(rho)
-    value = _log_negativities(_spectrum(ent, d, transposed=True)[None])[0]
+    if isinstance(rho, TwoModeDensityMatrix):
+        evals = _spectrum(rho, rho.cutoff + 1, True, rho._occupied)
+    else:
+        evals = _spectrum(*_as_entries(rho), transposed=True)
+    value = _log_negativities(evals[None])[0]
     return MeasureValue("log_negativity", float(value))
 
 
@@ -401,14 +479,23 @@ def pure_log_negativity(state: TwoModePureState) -> MeasureValue:
 
 
 def reduced_state(rho, keep: str = "a") -> np.ndarray:
-    """Partial trace down to one mode; returns a (cutoff+1)^2-free dxd matrix."""
-    ent, d = _as_entries(rho)
-    four = ent.reshape(d, d, d, d)
-    if keep == "a":
-        return np.einsum("aibi->ab", four)
+    """Partial trace down to one mode; returns a (cutoff+1)^2-free dxd matrix.
+    A state from from_pure is traced over its occupied entries, each output
+    entry summed over the traced photon number in increasing order."""
+    held = _held_pure(rho)
+    ent, d = (None, rho.cutoff + 1) if held else _as_entries(rho)
+    if keep not in ("a", "b"):
+        raise ValidationError(f"keep must be 'a' or 'b', got {keep!r}")
+    if not held:
+        return np.einsum("aibi->ab" if keep == "a" else "iaib->ab", ent.reshape(d, d, d, d))
+    rows, cols, values = rho._occupied
+    (na, nb), (ma, mb) = np.divmod(rows, d), np.divmod(cols, d)
     if keep == "b":
-        return np.einsum("iaib->ab", four)
-    raise ValidationError(f"keep must be 'a' or 'b', got {keep!r}")
+        na, nb, ma, mb = nb, na, mb, ma
+    traced = nb == mb
+    sigma = np.zeros((d, d), dtype=complex)
+    np.add.at(sigma, (na[traced], ma[traced]), values[traced])
+    return sigma
 
 
 def _entropy_bits(weights: np.ndarray) -> np.ndarray:
@@ -464,7 +551,12 @@ def von_neumann_entropy(sigma: np.ndarray) -> MeasureValue:
 
 def purity(rho) -> MeasureValue:
     """Tr(rho^2) = sum_ij rho_ij rho_ji as a real number in (0, 1]; O(d^4)
-    for a d^2 x d^2 grid matrix, against O(d^6) for the product rho @ rho."""
-    ent, _ = _as_entries(rho)
-    val = float(np.einsum("ij,ji->", ent, ent).real)
+    for a d^2 x d^2 grid matrix, against O(d^6) for the product rho @ rho; a
+    state from from_pure sums over its occupied entries only."""
+    if _held_pure(rho):
+        rows, cols, values = rho._occupied
+        val = float((values * _transposed_partners(rows, cols, values, rho.cutoff + 1)).sum().real)
+    else:
+        ent, _ = _as_entries(rho)
+        val = float(np.einsum("ij,ji->", ent, ent).real)
     return MeasureValue("purity", val)

@@ -97,6 +97,15 @@ def test_raw_amplitudes_may_exceed_capacity():
     assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-12
 
 
+def test_raw_amplitudes_off_the_grid_are_refused():
+    # numpy would put (-1, 0) on |2, 0> and raise a bare IndexError for (5, 5)
+    for key in ((-1, 0), (0, -1), (5, 5), (3, 0), (0, 3)):
+        with pytest.raises(ValidationError, match=rf"amplitude key \({key[0]}, {key[1]}\)"):
+            state_from_amplitudes({(0, 0): 1.0, key: 1.0}, cutoff=2)
+    st = state_from_amplitudes({(2, 0): 1.0, (0, 2): 1.0}, cutoff=2)
+    assert st.amplitudes[2, 0] == st.amplitudes[0, 2]
+
+
 # ---------------------------------------------------------------- validation
 
 
@@ -545,6 +554,102 @@ def test_purity_matches_trace_of_square():
     for rho in states:
         ent = rho.entries
         assert abs(float(purity(rho)) - np.trace(ent @ ent).real) <= 1e-15
+
+
+# ------------------------------------------------ pure states held as entries
+# from_pure holds |psi><psi| as its occupied entries, built from the amplitude
+# support, and builds the dense matrix only when entries is read or a dense
+# solve needs it.  The dense route is the constructor fed np.outer.
+
+
+def _pure_with_support(rng, cutoff, kind):
+    # amplitudes on one n_a + n_b sector, one n_a - n_b sector, one grid point
+    # (one sector of each labelling), or the whole grid (couples sectors in
+    # both labellings); some amplitudes are 0, and in every other state one
+    # is 1e-170, so that its square underflows and is not occupied
+    d = cutoff + 1
+    na, nb = np.divmod(np.arange(d * d), d)
+    if kind == "sum":
+        on = na + nb == rng.integers(0, 2 * d - 1)
+    elif kind == "difference":
+        on = na - nb == rng.integers(-cutoff, cutoff + 1)
+    elif kind == "both":
+        on = np.arange(d * d) == rng.integers(0, d * d)
+    else:
+        on = np.ones(d * d, dtype=bool)
+    amps = (rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)) * on
+    picked = np.flatnonzero(amps)
+    amps[picked[rng.random(picked.size) < 0.3][:-1]] = 0.0
+    if kind == "coupled":  # two amplitudes apart in both n_a + n_b and n_a - n_b
+        amps[[0, d]] = 0.5, 0.5j
+    if rng.random() < 0.5 and np.count_nonzero(amps) > 1:
+        amps[np.flatnonzero(amps)[-1]] = 1e-170
+    return state_from_amplitudes(amps.reshape(d, d), cutoff)
+
+
+def _measured(make):
+    # the state make() builds, its measures, and the shape of every eigvalsh
+    # input on the way, validation included
+    shapes = []
+    dense = np.linalg.eigvalsh
+
+    def recorder(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return dense(mat, *args, **kwargs)
+
+    np.linalg.eigvalsh = recorder
+    try:
+        rho = make()
+        measures = (float(log_negativity(rho)), reduced_state(rho, "a"),
+                    reduced_state(rho, "b"), float(von_neumann_entropy(reduced_state(rho))),
+                    float(purity(rho)))
+    finally:
+        np.linalg.eigvalsh = dense
+    return rho, measures, shapes
+
+
+@pytest.mark.parametrize("kind", ["sum", "difference", "both", "coupled"])
+def test_from_pure_matches_the_dense_route(kind):
+    # largest differences seen over these states: reduced states 0, entropies
+    # 0, purity 4.4e-16 (the dense route sums in another order)
+    rng = np.random.default_rng({"sum": 31, "difference": 32, "both": 33, "coupled": 34}[kind])
+    for cutoff in range(1 if kind == "coupled" else 0, 9):
+        d = cutoff + 1
+        for _ in range(4):
+            state = _pure_with_support(rng, cutoff, kind)
+            psi = state.flat()
+            held, got, shapes = _measured(lambda: TwoModeDensityMatrix.from_pure(state))
+            dense, want, dense_shapes = _measured(
+                lambda: TwoModeDensityMatrix(cutoff, np.outer(psi, psi.conj())))
+            assert shapes == dense_shapes
+            assert ((d * d, d * d) in shapes) == (kind == "coupled")
+            assert ("entries" in vars(held)) == (kind == "coupled")
+            for mine, theirs in zip(held._occupied, fock._support(dense.entries, d)):
+                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+            for transposed in (False, True):
+                mine = fock._spectrum(held, d, transposed, held._occupied)
+                assert mine.tobytes() == fock._spectrum(dense.entries, d, transposed).tobytes()
+            assert got[0].hex() == want[0].hex()
+            for mine, theirs in zip(got[1:], want[1:]):
+                assert np.abs(np.asarray(mine) - theirs).max() <= 1e-15, (kind, cutoff)
+
+
+def test_from_pure_builds_entries_once_on_first_read():
+    tracemalloc.start()
+    try:
+        state = two_mode_squeezed_state(0.8, 40)
+        rho = TwoModeDensityMatrix.from_pure(state)
+        log_negativity(rho)
+        von_neumann_entropy(reduced_state(rho))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20  # the dense matrix alone is 45 MB
+    ent = rho.entries
+    psi = state.flat()
+    assert ent.tobytes() == np.outer(psi, psi.conj()).tobytes()
+    assert not ent.flags.writeable
+    assert rho.entries is ent
 
 
 def test_large_tmsv_never_takes_the_dense_solve(solved_widths):
