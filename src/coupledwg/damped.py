@@ -22,24 +22,25 @@ V_N diag(e^{-i (omega N + J lam) t}) V_N^T on sector N, from the cached
 sector eigensystem.  So the time dependence is scalar per (t, k) and per
 eigenvector slot.
 
-Cost model: once per call, the loss tables are built from the nonzero
-entries of rho only, one row per k, over the block pairs that loss reaches
-from them (a NOON or Fock input of N photons has N + 1), and turned into
-the coupler eigenbasis.  A time grid is then a handful of stacked products
-on (times x entries) arrays: the tables weighted by gamma_-^k, the slot
-phases, and each block rotated back.  No dense (d^2 x d^2) product is done,
-and no Python loop runs over the times.  Each chunk of the grid is checked
-for its trace deficit, renormalized and Hermitized on the compact layout.
-Drawn as states, each is then scattered into its grid matrix and validated
-one time at a time.  Drawn as measures (DampedStates.measures), the chunk is
-validated and measured on the layout itself: gather tables, built once per
-call by fock._sector_tables from the layout's grid positions, read the
-occupied sector blocks of all its states, and of their partial transposes,
-for fock._sector_eigvalsh, one stacked solve per block size; the layout's
-diagonal gives the reduced states.  No dense state is built then.  The
-grid is walked in chunks of _CHUNK_BYTES, so at most one chunk, and one
-dense state when states are drawn, is alive however many times are asked
-for.
+Cost model: once per call, the loss tables are built from the occupied
+entries that rho holds (fock._Occupied), one row per k, over the block
+pairs that loss reaches from them (a NOON or Fock input of N photons has
+N + 1), and turned into the coupler eigenbasis.  A time grid is then a
+handful of stacked products on (times x entries) arrays: the tables
+weighted by gamma_-^k, the slot phases, and each block rotated back.  No
+dense (d^2 x d^2) product is done, and no Python loop runs over the times.
+Each chunk of the grid is checked for its trace deficit, renormalized and
+Hermitized on the compact layout.
+Drawn as states, each row of the layout, in row-major grid order without
+its exact zeros, is held by a TwoModeDensityMatrix as its occupied entries
+and validated one time at a time.  Drawn as measures (DampedStates.measures),
+the chunk is validated and measured on the layout itself: gather tables,
+built once per call by fock._sector_tables from the layout's grid positions,
+read the occupied sector blocks of all its states, and of their partial
+transposes, for fock._sector_eigvalsh, one stacked solve per block size; the
+layout's diagonal gives the reduced states.  Neither builds a dense state
+unless its spectrum needs a dense solve.  The grid is walked in chunks of
+_CHUNK_BYTES, so at most one chunk is alive however many times are asked for.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .errors import NumericalError, TruncationError, ValidationError
 from .fock import (
     MeasureValue,
     TwoModeDensityMatrix,
+    _Occupied,
     _checked_spectra,
     _entropies,
     _gated,
@@ -74,6 +76,7 @@ from .lossless import (
     CouplerParams,
     _assemble_sectors,
     _binomial_family,
+    _binomials,
     _pt_spectrum,
     _require_capacity_support,
     _require_finite_phases,
@@ -244,16 +247,19 @@ def mode_rotation(cutoff: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _root_binomials(dim: int) -> np.ndarray:
-    # [k, n] -> sqrt(C(n, k)), zero for k > n
-    out = np.sqrt([[math.comb(n, k) for n in range(dim)] for k in range(dim)])
+    # [k, n] -> sqrt(C(n, k)), zero for k > n; the largest n first, so that a
+    # table whose binomials overflow a float is refused at once
+    out = np.zeros((dim, dim))
+    for n in range(dim - 1, -1, -1):
+        out[:n + 1, n] = np.sqrt(_binomials(n))
     out.setflags(write=False)
     return out
 
 
-def _lost_photons(ent: np.ndarray, rows: np.ndarray, cols: np.ndarray, d: int):
-    """Every way loss moves the nonzero entries ent[rows, cols] down: k_a
-    photons from mode a and k_b from mode b on both sides take |n_a, n_b><m_a,
-    m_b| to |n_a - k_a, n_b - k_b><m_a - k_a, m_b - k_b| with the Kraus weight
+def _lost_photons(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, d: int):
+    """Every way loss moves the occupied entries of rho down: k_a photons
+    from mode a and k_b from mode b on both sides take |n_a, n_b><m_a, m_b|
+    to |n_a - k_a, n_b - k_b><m_a - k_a, m_b - k_b| with the Kraus weight
     sqrt(C(n_a, k_a) C(m_a, k_a) C(n_b, k_b) C(m_b, k_b)), before any time
     factor.  Returns k = k_a + k_b, the target's four photon numbers and the
     weighted entry, one element per (entry, k_a, k_b)."""
@@ -266,8 +272,7 @@ def _lost_photons(ent: np.ndarray, rows: np.ndarray, cols: np.ndarray, d: int):
                        per_b[entry])
     na, nb, ma, mb = na[entry], nb[entry], ma[entry], mb[entry]
     root = _root_binomials(d)
-    weighted = ent[rows, cols][entry] * (root[ka, na] * root[ka, ma]
-                                         * root[kb, nb] * root[kb, mb])
+    weighted = values[entry] * (root[ka, na] * root[ka, ma] * root[kb, nb] * root[kb, mb])
     return ka + kb, na - ka, nb - kb, ma - ka, mb - kb, weighted
 
 
@@ -286,9 +291,8 @@ class _SectorTerms(NamedTuple):
     diag: np.ndarray       # the entries on the grid diagonal
 
 
-def _sector_terms(ent: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                  d: int) -> _SectorTerms:
-    k, na, nb, ma, mb, weighted = _lost_photons(ent, rows, cols, d)
+def _sector_terms(occupied: _Occupied, d: int) -> _SectorTerms:
+    k, na, nb, ma, mb, weighted = _lost_photons(*occupied, d)
     row_total, col_total = na + nb, ma + mb
     # both orders of every pair, so each entry's transposed partner is laid out
     reached = np.zeros(d * d, dtype=bool)
@@ -436,31 +440,30 @@ class DampedStates:
     def __init__(self, rho: TwoModeDensityMatrix, terms: _SectorTerms, p: DampedParams,
                  times: np.ndarray):
         self._rho, self._terms, self._p, self._times = rho, terms, p, times
-        self._states = None
+        self._states = self._held_states()  # runs from the first next()
 
     def __iter__(self) -> "DampedStates":
         return self
 
     def __next__(self) -> TwoModeDensityMatrix:
-        if self._states is None:
-            self._states = self._dense_states()
         return next(self._states)
 
-    def _dense_states(self) -> Iterator[TwoModeDensityMatrix]:
-        d2 = (self._rho.cutoff + 1) ** 2
-        for chunk in _propagate(self._rho, self._terms, self._p, self._times):
+    def _held_states(self) -> Iterator[TwoModeDensityMatrix]:
+        terms, cutoff = self._terms, self._rho.cutoff
+        order = np.argsort(terms.rows * (cutoff + 1) ** 2 + terms.cols)
+        rows, cols = terms.rows[order], terms.cols[order]
+        for chunk in _propagate(self._rho, terms, self._p, self._times):
             for row in chunk:
-                rho_t = np.zeros((d2, d2), dtype=complex)
-                rho_t[self._terms.rows, self._terms.cols] = row
-                rho_t.setflags(write=False)  # fresh, so validation need not copy it
-                yield TwoModeDensityMatrix(self._rho.cutoff, rho_t)
+                values = row[order]
+                keep = np.flatnonzero(values)
+                yield TwoModeDensityMatrix(cutoff, _Occupied(rows[keep], cols[keep], values[keep]))
 
     def measures(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """One (E_N, S, purity) triple of arrays per chunk of the grid, in order."""
         d = self._rho.cutoff + 1
         tables = _measure_tables(self._terms, d)
-        if tables is None:  # the states' spectra need dense solves
-            for state in self._dense_states():
+        if tables is None:  # rho(t) mixes photon sectors: measured state by state
+            for state in self._held_states():
                 yield tuple(np.array([float(value)]) for value in (
                     log_negativity(state), von_neumann_entropy(reduced_state(state)),
                     purity(state)))
@@ -489,11 +492,10 @@ def evolve_damped_exact(rho: TwoModeDensityMatrix, p: DampedParams, t: float | n
         bad = flat[~(np.isfinite(flat) & (flat >= 0.0))][0]
         raise ValidationError(f"t must be finite and >= 0, got {bad}")
     d = rho.cutoff + 1
-    rows, cols = np.nonzero(rho.entries)
     occupied = np.zeros(d * d)
-    occupied[rows] = occupied[cols] = 1.0
+    occupied[rho._occupied.rows] = occupied[rho._occupied.cols] = 1.0
     _require_capacity_support(occupied.reshape(d, d), rho.cutoff, "density matrix")
-    states = DampedStates(rho, _sector_terms(rho.entries, rows, cols, d), p, flat)
+    states = DampedStates(rho, _sector_terms(rho._occupied, d), p, flat)
     return next(states) if times.ndim == 0 else states
 
 
@@ -505,6 +507,8 @@ def _damped_diagonal(total: int, p: DampedParams, t: float) -> np.ndarray:
     # The lossless family at the effective angle: sin^2 -> |sinh th|^2 / cosh 2x
     # and cos^2 -> |cosh th|^2 / cosh 2x with th = x + iy, both written through
     # tanh x so that no factor overflows at large gamma t.
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValidationError(f"t must be finite and >= 0, got {t}")
     x, y = math.sqrt(2.0) * p.gamma * t, p.J * t
     th2 = math.tanh(x) ** 2
     s2 = (th2 + math.sin(y) ** 2 * (1.0 - th2)) / (1.0 + th2)

@@ -6,11 +6,11 @@ n_a + n_b <= cutoff so that photon-conserving (and photon-losing) dynamics stay
 exact on the grid.  All logarithms are base 2: entropies and logarithmic
 negativities are reported in bits.
 
-A TwoModeDensityMatrix holds its occupied entries: the grid rows, columns
-and values of its nonzero entries, in row-major order.  A dense argument is
-scanned for them once; from_pure takes them from the k nonzero amplitudes
-(k^2 products) and never builds the dense (d^2) x (d^2) outer product, which
-it builds on the first read of entries and then keeps.
+A TwoModeDensityMatrix holds its occupied entries (_Occupied), which its
+validation, reduced_state and purity read: a dense argument is scanned for
+them, from_pure takes them from the k nonzero amplitudes (k^2 products), and
+a state drawn from damped.py from its compact layout.  Neither of the last
+two builds its dense (d^2) x (d^2) entries before they are read.
 
 Density-matrix validation and the negativity solve eigenproblems sector by
 sector.  The coupler conserves n_a + n_b and loss keeps coherence offsets, so
@@ -26,7 +26,7 @@ a state's occupied entries, or the compact layout of a chunk of propagated
 states (damped.py), which is solved in the same calls.  A matrix
 block-diagonal in neither labelling, such as a squeezed state after the
 coupler, falls back to one dense (d^2) x (d^2) solve, the only use of a
-pure state's dense form in validation and the measures.
+held state's dense form in validation and the measures.
 
 The measures and their gates are written for stacks of states (log2(1 + 2N)
 from partial-transpose eigenvalues, reduced-state entropy, the MeasureValue
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -47,11 +47,6 @@ NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9  # eigenvalues above this are treated as rounding noise
-# block edge of the Hermiticity check of a dense argument, which compares
-# block pairs (i, j) and (j, i) for j >= i: it then allocates no temporary of
-# the matrix's size and reads rows contiguously (a state from from_pure is
-# checked on its occupied entries instead)
-_HERM_CHECK_BLOCK = 256
 
 # measure kind -> the range its values are clamped into after the gate
 _CLAMPS = {"entropy": (0.0, math.inf), "log_negativity": (0.0, math.inf),
@@ -144,70 +139,71 @@ class TwoModePureState:
         return self.amplitudes.reshape(-1)
 
 
+class _Occupied(NamedTuple):
+    """Grid rows, columns and values of a matrix's nonzero entries, row-major."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
 @dataclass(frozen=True)
 class TwoModeDensityMatrix:
     """Validated density matrix on the two-mode grid (Hermitian, unit trace, PSD).
 
     It holds its occupied entries (see the module docstring).  A read-only
     complex array that no writeable array shares becomes entries as it is;
-    any other array is copied, so the caller cannot change it.  from_pure
-    hands over the pure state itself as entries: entries is then built on
-    first access, read-only, and kept."""
+    any other array is copied, so the caller cannot change it.  from_pure and
+    the damped propagator hand over the occupied entries themselves: entries
+    is then built on first access, read-only, and kept."""
 
     cutoff: int
     entries: np.ndarray
 
     def __post_init__(self):
+        if self.cutoff < 0:
+            raise ValidationError("cutoff must be non-negative")
         d = self.cutoff + 1
         ent = self.entries
-        if isinstance(ent, TwoModePureState):  # from from_pure: |psi><psi|
-            psi = ent.flat()
-            if psi.size != d * d:
-                raise ValidationError(f"entries must have shape {(d*d, d*d)}, "
-                                      f"got {(psi.size, psi.size)}")
+        if isinstance(ent, _Occupied):
             object.__delattr__(self, "entries")  # built by __getattr__ when read
-            occupied = _pure_support(psi)
-            rows, cols, values = occupied
-            herm = np.abs(values - _transposed_partners(*occupied, d).conj()).max(initial=0.0)
-            on = rows == cols
-            diagonal = np.zeros(d * d, dtype=complex)
-            diagonal[rows[on]] = values[on]
-            trace = diagonal.sum()  # summed as entries.trace() sums
+            occupied = ent
         else:
-            psi = None
             if not (_sealed(ent) and ent.dtype == complex):
                 ent = np.array(ent, dtype=complex)
             if ent.shape != (d * d, d * d):
                 raise ValidationError(f"entries must have shape {(d*d, d*d)}, got {ent.shape}")
-            r = _HERM_CHECK_BLOCK
-            herm = np.max([np.abs(ent[i:i + r, j:j + r] - ent[j:j + r, i:i + r].conj().T).max()
-                           for i in range(0, d * d, r) for j in range(i, d * d, r)])
-            trace = ent.trace()
             ent.setflags(write=False)
             object.__setattr__(self, "entries", ent)
             occupied = _support(ent, d)
-        object.__setattr__(self, "_psi", psi)
         object.__setattr__(self, "_occupied", occupied)
-        _checked_spectra(np.array([herm]), np.array([trace]),
+        rows, cols, values = occupied
+        herm = np.abs(values - _transposed_partners(*occupied, d).conj()).max(initial=0.0)
+        on = rows == cols
+        diagonal = np.zeros(d * d, dtype=complex)
+        diagonal[rows[on]] = values[on]
+        _checked_spectra(np.array([herm]), np.array([diagonal.sum()]),
                          lambda _: _spectrum(self, d, support=occupied)[None])
 
     def __getattr__(self, name):
-        # only a state from from_pure lacks an attribute, entries, until it is read
+        # only a state handed its occupied entries lacks entries, until read
         if name != "entries":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        psi = self._psi
+        rows, cols, values = self._occupied
+        d2 = (self.cutoff + 1) ** 2
         try:
-            ent = np.outer(psi, psi.conj())
+            ent = np.zeros((d2, d2), dtype=complex)
         except MemoryError:
-            raise NumericalError(f"the cutoff-{self.cutoff} density matrix ({psi.size}^2 "
+            raise NumericalError(f"the cutoff-{self.cutoff} density matrix ({d2}^2 "
                                  "complex entries) does not fit in memory") from None
+        ent[rows, cols] = values
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
         return ent
 
     @classmethod
     def from_pure(cls, state: TwoModePureState) -> "TwoModeDensityMatrix":
-        return cls(state.cutoff, state)
+        return cls(state.cutoff, _pure_support(state.flat()))
 
 
 def _sealed(arr) -> bool:
@@ -303,22 +299,21 @@ def _sector_eigvalsh(groups: Iterable[np.ndarray], count: int) -> np.ndarray:
                           + [_eigvalsh(g).reshape(count, -1) for g in groups], axis=1)
 
 
-def _support(ent: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid rows, columns and values of the nonzero entries of a grid matrix,
-    in row-major order."""
+def _support(ent: np.ndarray, d: int) -> _Occupied:
+    """The occupied entries of a dense grid matrix."""
     flat = np.flatnonzero(ent != 0)
     rows, cols = np.divmod(flat, d * d)
-    return rows, cols, ent.reshape(-1)[flat]
+    return _Occupied(rows, cols, ent.reshape(-1)[flat])
 
 
-def _pure_support(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pure_support(psi: np.ndarray) -> _Occupied:
     """_support of np.outer(psi, psi.conj()), from the products of the
     nonzero amplitudes alone; a product that underflows to 0 is left out."""
     occupied = np.flatnonzero(psi)
     products = np.outer(psi[occupied], psi[occupied].conj()).reshape(-1)
     keep = np.flatnonzero(products)
     rows, cols = np.divmod(keep, occupied.size)
-    return occupied[rows], occupied[cols], products[keep]
+    return _Occupied(occupied[rows], occupied[cols], products[keep])
 
 
 def _transposed_partners(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
@@ -400,6 +395,8 @@ def state_from_amplitudes(amps: dict[tuple[int, int], complex] | np.ndarray,
                                       f"cutoff-{cutoff} grid")
             grid[na, nb] = v
     else:
+        if np.shape(amps) != (d, d):  # numpy would broadcast a row or scalar over the grid
+            raise ValidationError(f"amplitudes must have shape {(d, d)}, got {np.shape(amps)}")
         grid[...] = amps
     norm = np.linalg.norm(grid)
     if norm == 0:
@@ -415,12 +412,6 @@ def _as_entries(rho) -> tuple[np.ndarray, int]:
     if d * d != mat.shape[0] or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"matrix of shape {mat.shape} is not a two-mode grid operator")
     return mat, d
-
-
-def _held_pure(rho) -> bool:
-    """Whether rho is a state from from_pure, whose measures read its
-    occupied entries and not its dense form."""
-    return isinstance(rho, TwoModeDensityMatrix) and rho._psi is not None
 
 
 def partial_transpose(rho) -> np.ndarray:
@@ -480,14 +471,14 @@ def pure_log_negativity(state: TwoModePureState) -> MeasureValue:
 
 def reduced_state(rho, keep: str = "a") -> np.ndarray:
     """Partial trace down to one mode; returns a (cutoff+1)^2-free dxd matrix.
-    A state from from_pure is traced over its occupied entries, each output
+    A TwoModeDensityMatrix is traced over its occupied entries, each output
     entry summed over the traced photon number in increasing order."""
-    held = _held_pure(rho)
-    ent, d = (None, rho.cutoff + 1) if held else _as_entries(rho)
     if keep not in ("a", "b"):
         raise ValidationError(f"keep must be 'a' or 'b', got {keep!r}")
-    if not held:
+    if not isinstance(rho, TwoModeDensityMatrix):
+        ent, d = _as_entries(rho)
         return np.einsum("aibi->ab" if keep == "a" else "iaib->ab", ent.reshape(d, d, d, d))
+    d = rho.cutoff + 1
     rows, cols, values = rho._occupied
     (na, nb), (ma, mb) = np.divmod(rows, d), np.divmod(cols, d)
     if keep == "b":
@@ -552,8 +543,8 @@ def von_neumann_entropy(sigma: np.ndarray) -> MeasureValue:
 def purity(rho) -> MeasureValue:
     """Tr(rho^2) = sum_ij rho_ij rho_ji as a real number in (0, 1]; O(d^4)
     for a d^2 x d^2 grid matrix, against O(d^6) for the product rho @ rho; a
-    state from from_pure sums over its occupied entries only."""
-    if _held_pure(rho):
+    TwoModeDensityMatrix sums over its occupied entries only."""
+    if isinstance(rho, TwoModeDensityMatrix):
         rows, cols, values = rho._occupied
         val = float((values * _transposed_partners(rows, cols, values, rho.cutoff + 1)).sum().real)
     else:

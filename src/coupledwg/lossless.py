@@ -202,6 +202,8 @@ def evolve_lossless_dm(rho: TwoModeDensityMatrix, params: CouplerParams,
 
 def _binomials(total: int) -> np.ndarray:
     """binom(N, n), n = 0..N, as floats; they overflow above N of about 1030."""
+    if total < 0:
+        raise ValidationError("total photon number must be non-negative")
     try:
         return np.array([math.comb(total, k) for k in range(total + 1)], dtype=float)
     except OverflowError:
@@ -219,6 +221,8 @@ def _binomial_weights(total: int, jt) -> np.ndarray:
     """_binomial_family at sin^2(Jt) and cos^2(Jt), taken with math's sin and
     cos: one family for a float Jt, one row per Jt of a 1-D array."""
     jts = np.asarray(jt, dtype=float)
+    if not np.isfinite(jts).all():
+        raise ValidationError(f"Jt must be finite, got {jts[~np.isfinite(jts)].flat[0]}")
     s2, c2 = (np.array([f(x) ** 2 for x in jts.reshape(-1).tolist()]).reshape(jts.shape + (1,))
               for f in (math.sin, math.cos))
     return _binomial_family(total, s2, c2)

@@ -239,7 +239,9 @@ def test_propagator_matches_normal_mode_route():
 
 @pytest.mark.parametrize("chunk_bytes", [damped._CHUNK_BYTES, 1 << 18, 1 << 14])
 def test_batch_matches_scalar_calls(chunk_bytes, monkeypatch):
-    # a state does not depend on the chunk of the grid it was built in
+    # a state agrees within 1e-13 whatever chunk of the grid it was built
+    # in; its printed measures can differ in the last digit between
+    # chunkings, since some sums over a chunk depend on how many times share it
     monkeypatch.setattr(damped, "_CHUNK_BYTES", chunk_bytes)
     grids = ((0.05, np.concatenate((np.linspace(0.0, 8.0, 37), [40.0, 0.3]))),
              # unsorted, across gamma t in [700, 760], where e^{-gamma t} underflows
@@ -340,6 +342,24 @@ def test_batch_memory_does_not_grow_with_the_grid(monkeypatch):
         # one dense state is 234 kB, and validating it takes about four; any
         # array over the grid takes 1 MB (bool) to 16 MB (complex)
         assert peak < 6 * rho.entries.nbytes
+
+
+def test_damped_route_builds_no_dense_state():
+    # measures() of a from_pure input reads no dense matrix, and a drawn
+    # state is held as its occupied entries until entries is read: those of
+    # its dense form, found as a dense argument's are
+    rho = TwoModeDensityMatrix.from_pure(noon_state(4, 4))
+    p = DampedParams(0.3, 0.7, 0.05)
+    times = np.linspace(0.0, 3.0, 7)
+    list(evolve_damped_exact(rho, p, times).measures())
+    assert "entries" not in vars(rho)
+    for state in evolve_damped_exact(rho, p, times):
+        assert "entries" not in vars(state)
+        dense = TwoModeDensityMatrix(state.cutoff, state.entries)
+        assert "entries" in vars(state)
+        for mine, theirs in zip(state._occupied, dense._occupied):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+    assert "entries" not in vars(rho)
 
 
 def _per_state_columns(rho, p, times):
@@ -550,6 +570,13 @@ def test_damped_entropy_values():
     for total, t in ((2, 1.1), (4, 0.6)):
         assert float(damped_entropy(total, lossfree, t)) == pytest.approx(
             float(entropy_closed(total, 0.5 * t)), abs=1e-12)
+    # a negative t gave 1.34 bits, an infinite one "math domain error"
+    for t in (-1.0, math.inf, math.nan):
+        for closed in (damped_entropy, damped_pt_spectrum):
+            with pytest.raises(ValidationError, match="t must be finite and >= 0"):
+                closed(2, P, t)
+    with pytest.raises(ValidationError, match="total photon number must be non-negative"):
+        damped_entropy(-1, P, 1.0)
 
 
 def test_damped_closed_forms_are_lossless_family_at_effective_angle():

@@ -104,6 +104,11 @@ def test_raw_amplitudes_off_the_grid_are_refused():
             state_from_amplitudes({(0, 0): 1.0, key: 1.0}, cutoff=2)
     st = state_from_amplitudes({(2, 0): 1.0, (0, 2): 1.0}, cutoff=2)
     assert st.amplitudes[2, 0] == st.amplitudes[0, 2]
+    # an array off the grid's shape: numpy would copy a row into every row,
+    # or a scalar over the whole grid
+    for amps in (np.ones(3), np.array(1.0), np.ones((3, 4)), np.ones((2, 2)), np.ones((3, 3, 1))):
+        with pytest.raises(ValidationError, match=r"amplitudes must have shape \(3, 3\)"):
+            state_from_amplitudes(amps, cutoff=2)
 
 
 # ---------------------------------------------------------------- validation
@@ -183,6 +188,12 @@ def test_from_pure_holds_one_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * rho.entries.nbytes
+
+
+def test_density_matrix_refuses_a_negative_cutoff():
+    # numpy met it as "zero-size array to reduction operation"
+    with pytest.raises(ValidationError, match="cutoff must be non-negative"):
+        TwoModeDensityMatrix(-1, np.zeros((0, 0)))
 
 
 def test_density_matrix_must_have_unit_trace():
@@ -610,8 +621,8 @@ def _measured(make):
 
 @pytest.mark.parametrize("kind", ["sum", "difference", "both", "coupled"])
 def test_from_pure_matches_the_dense_route(kind):
-    # largest differences seen over these states: reduced states 0, entropies
-    # 0, purity 4.4e-16 (the dense route sums in another order)
+    # both routes hold the same occupied entries, and every measure reads
+    # them: the largest differences seen over these states are 0
     rng = np.random.default_rng({"sum": 31, "difference": 32, "both": 33, "coupled": 34}[kind])
     for cutoff in range(1 if kind == "coupled" else 0, 9):
         d = cutoff + 1

@@ -229,6 +229,15 @@ def test_entropy_closed_values():
     assert float(entropy_closed(4, math.pi / 4)) == pytest.approx(ENTROPY_PEAK_N4, abs=1e-12)
     assert float(entropy_closed(4, 0.0)) == 0.0
     assert float(entropy_closed(4, math.pi / 2)) < 1e-12
+    # out of the domain: a typed error, not 0, an empty spectrum or "math domain error"
+    for jt in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError, match="Jt must be finite"):
+            entropy_closed(2, jt)
+        with pytest.raises(ValidationError, match="Jt must be finite"):
+            pt_spectrum_closed(2, jt)
+    for closed in (entropy_closed, pt_spectrum_closed):
+        with pytest.raises(ValidationError, match="total photon number must be non-negative"):
+            closed(-1, 0.3)
 
 
 def test_entropy_closed_periodicity_and_symmetry():

@@ -122,6 +122,9 @@ def test_bad_variant_rejected():
         thermal_entropy(2, QUARTER, occ, variant="renormalised")
     with pytest.raises(ValidationError):
         thermal_entropy(2, QUARTER, occ, variant="")
+    # and a negative photon number, which numpy met as "cannot reshape"
+    with pytest.raises(ValidationError, match="total photon number must be non-negative"):
+        thermal_entropy(-1, QUARTER, occ)
 
 
 # --- column form: every (nbar, Jt) pair of two grids in one call, bit for
