@@ -94,64 +94,6 @@ from .lindblad import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BogoliubovParams",
-    "CapacityError",
-    "CoupledwgError",
-    "CouplerParams",
-    "DampedParams",
-    "DeviationReport",
-    "DisentangleParams",
-    "IntegrationError",
-    "IntegratorConfig",
-    "MeasureValue",
-    "NumericalError",
-    "StateSpec",
-    "ThermalOccupation",
-    "ToleranceExceeded",
-    "Trajectory",
-    "TruncationError",
-    "TwoModeDensityMatrix",
-    "TwoModePureState",
-    "ValidationError",
-    "bogoliubov_params",
-    "compare",
-    "damped_entropy",
-    "damped_pt_spectrum",
-    "default_dt",
-    "disentangle_params",
-    "entropy_bits",
-    "entropy_closed",
-    "evolve_damped_exact",
-    "evolve_lossless",
-    "evolve_lossless_dm",
-    "fock_state",
-    "integrate",
-    "liouvillian_apply",
-    "log_negativity",
-    "log_negativity_gaussian",
-    "loss_channel_factors",
-    "lossless_unitary",
-    "make_pure_state",
-    "mode_rotation",
-    "noon_log_negativity",
-    "noon_state",
-    "partial_transpose",
-    "pt_spectrum_closed",
-    "pure_log_negativity",
-    "purity",
-    "purity_closed",
-    "reduced_state",
-    "simon_separable",
-    "state_from_amplitudes",
-    "symplectic_eigenvalues",
-    "thermal_entropy",
-    "thermal_evolved_covariance",
-    "thermal_weight",
-    "tmsv_covariance",
-    "trace_distance",
-    "two_mode_squeezed_state",
-    "vacuum_covariance",
-    "vacuum_evolved_covariance",
-    "von_neumann_entropy",
-]
+# every function and class imported above from the package's modules
+__all__ = sorted(name for name, value in globals().items()
+                 if getattr(value, "__module__", "").startswith(__name__ + "."))

@@ -41,6 +41,9 @@ transposes, for fock._sector_eigvalsh, one stacked solve per block size; the
 layout's diagonal gives the reduced states.  Neither builds a dense state
 unless its spectrum needs a dense solve.  The grid is walked in chunks of
 _CHUNK_BYTES, so at most one chunk is alive however many times are asked for.
+The budget bounds memory only: each row's arithmetic is that of its time alone
+(a vector-matrix loss product per time, ordered sums, and the real or complex
+eigensolve chosen per matrix), so a row equals the one-time call bit for bit.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ TRACE_DEFICIT_LIMIT = 1e-10
 # a chunk of compact states, their time factors and the sector blocks
 # gathered from them takes up to _CHUNK_BYTES, about four dense states at
 # cutoff 10: the measures of a 101-point grid for NOON-10 take 6 chunks, and
-# one for an input of up to 4 photons.
+# one for an input of up to 4 photons.  No printed digit depends on the count.
 
 
 @dataclass(frozen=True)
@@ -327,7 +330,9 @@ def _sector_stack(terms: _SectorTerms, p: DampedParams, cutoff: int,
     with weights gamma_-^k, eigenvector i of sector M scaled by
     sqrt(gamma_3)^M and its coupler phase e^{-i (omega M + J lam_i) t} on the
     left and by the conjugate on the right, then every block rotated out of
-    the eigenbasis.  The phases grow with t, so they are checked at the
+    the eigenbasis.  The loss weights take one vector-matrix product per time:
+    a stacked gemm picks its kernel by the row count, which would make a row
+    depend on its chunk.  The phases grow with t, so they are checked at the
     largest time only."""
     _require_finite_phases(cutoff, p.coupler(), float(times.max()))
     _, g3_root, g_minus = loss_channel_factors(p.gamma, times)
@@ -336,7 +341,8 @@ def _sector_stack(terms: _SectorTerms, p: DampedParams, cutoff: int,
     amp = {m: g3_root[:, None] ** m * np.exp(-1j * p.omega * m * column)
            * np.exp(-1j * p.J * column * _sector_eigensystem(m)[0])
            for m in {m for m, _, _ in terms.pairs}}
-    stack = (g_minus[:, None] ** np.arange(cutoff + 1)) @ terms.lost
+    weights = g_minus[:, None] ** np.arange(cutoff + 1)
+    stack = (weights[:, None, :] @ terms.lost)[:, 0, :]
     for m, m2, sl in terms.pairs:
         # a view into stack: the pair's entries are contiguous in each row
         block = stack[:, sl].reshape(times.size, m + 1, m2 + 1)
@@ -353,13 +359,14 @@ def _propagate(rho: TwoModeDensityMatrix, terms: _SectorTerms, p: DampedParams,
     renormalized and Hermitized.  A chunk holds as many times as _CHUNK_BYTES
     allows, counting per time the cutoff + 1 loss weights, three compact
     states (the stack, its Hermitized copy and the consumer's padded copy)
-    and the entries that the consumer gathers from each state.  The stack is
-    freed before a chunk is handed on.  On a trace deficit the states before
-    it come out first."""
+    and the entries that the consumer gathers from each state; the budget
+    bounds memory only, since every row is reduced alone (fock._ordered_sum).
+    The stack is freed before a chunk is handed on.  On a trace deficit the
+    states before it come out first."""
     step = max(1, _CHUNK_BYTES // (16 * (3 * terms.partner.size + rho.cutoff + 1 + gathered)))
     for begin in range(0, times.size, step):
         stack = _sector_stack(terms, p, rho.cutoff, times[begin:begin + step])
-        trace = stack[:, terms.diag].real.sum(axis=1)
+        trace = _ordered_sum(stack[:, terms.diag].real)
         deficit = np.abs(trace - 1.0)
         bad = np.flatnonzero(deficit > TRACE_DEFICIT_LIMIT)
         error = None
@@ -419,12 +426,12 @@ def _chunk_measures(chunk: np.ndarray, terms: _SectorTerms, tables: _MeasureTabl
     padded = np.concatenate((chunk, np.zeros((count, 1))), axis=1)
     partner = chunk[:, terms.partner]
     _checked_spectra(np.abs(chunk - partner.conj()).max(axis=1),
-                     chunk[:, terms.diag].sum(axis=1),
+                     _ordered_sum(chunk[:, terms.diag]),
                      lambda k: _sector_eigvalsh((padded[:k, t] for t in tables.blocks), k))
     en = _log_negativities(_sector_eigvalsh((padded[:, t] for t in tables.transposed), count))
     sigma = np.zeros((count, d, d), dtype=complex)
     sigma[:, np.arange(d), np.arange(d)] = _ordered_sum(padded[:, tables.reduced])
-    return en, _entropies(sigma), _gated("purity", (chunk * partner).sum(axis=1).real)
+    return en, _entropies(sigma), _gated("purity", _ordered_sum((chunk * partner).real))
 
 
 class DampedStates:

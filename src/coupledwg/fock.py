@@ -115,17 +115,23 @@ def _total_photon_grid(cutoff: int) -> np.ndarray:
     return na[:, None] + na[None, :]
 
 
-@dataclass(frozen=True)
+def _grid_side(cutoff: int) -> int:
+    """cutoff + 1, the number of photon numbers per mode on the grid."""
+    if cutoff < 0:
+        raise ValidationError("cutoff must be non-negative")
+    return cutoff + 1
+
+
+@dataclass(frozen=True, eq=False)
 class TwoModePureState:
-    """Normalized two-mode pure state; amplitudes[n_a, n_b] on the grid."""
+    """Normalized two-mode pure state; amplitudes[n_a, n_b] on the grid.
+    States compare and hash by identity."""
 
     cutoff: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.cutoff < 0:
-            raise ValidationError("cutoff must be non-negative")
-        d = self.cutoff + 1
+        d = _grid_side(self.cutoff)
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (d, d):
             raise ValidationError(f"amplitudes must have shape {(d, d)}, got {amps.shape}")
@@ -147,7 +153,7 @@ class _Occupied(NamedTuple):
     values: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoModeDensityMatrix:
     """Validated density matrix on the two-mode grid (Hermitian, unit trace, PSD).
 
@@ -155,15 +161,14 @@ class TwoModeDensityMatrix:
     complex array that no writeable array shares becomes entries as it is;
     any other array is copied, so the caller cannot change it.  from_pure and
     the damped propagator hand over the occupied entries themselves: entries
-    is then built on first access, read-only, and kept."""
+    is then built on first access, read-only, and kept.  States compare and
+    hash by identity, and repr reads only the occupied entries."""
 
     cutoff: int
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.cutoff < 0:
-            raise ValidationError("cutoff must be non-negative")
-        d = self.cutoff + 1
+        d = _grid_side(self.cutoff)
         ent = self.entries
         if isinstance(ent, _Occupied):
             object.__delattr__(self, "entries")  # built by __getattr__ when read
@@ -200,6 +205,10 @@ class TwoModeDensityMatrix:
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
         return ent
+
+    def __repr__(self) -> str:
+        return (f"TwoModeDensityMatrix(cutoff={self.cutoff}, "
+                f"occupied={self._occupied.values.size})")
 
     @classmethod
     def from_pure(cls, state: TwoModePureState) -> "TwoModeDensityMatrix":
@@ -239,11 +248,18 @@ def _checked_spectra(herm: np.ndarray, trace: np.ndarray, spectra) -> np.ndarray
 
 
 def _eigvalsh(mat: np.ndarray) -> np.ndarray:
-    """Hermitian eigenvalues with a real fast path and failure diagnostics."""
+    """Hermitian eigenvalues of a matrix or a stack, with failure diagnostics.
+    A matrix whose imaginary part is below 1e-14 takes the real solve, decided
+    per matrix, so its eigenvalues do not depend on the stack it is in (each
+    matrix of a stack is solved alone).  A stack that mixes the two is solved
+    as complex, and its real matrices again as real."""
     try:
-        if np.abs(mat.imag).max() < 1e-14:
-            return np.linalg.eigvalsh(mat.real)
-        return np.linalg.eigvalsh(mat)
+        real = np.abs(mat.imag).max(axis=(-2, -1), initial=0.0) < 1e-14
+        count = np.count_nonzero(real)
+        evals = np.linalg.eigvalsh(mat.real if count == real.size else mat)
+        if 0 < count < real.size:
+            evals[real] = np.linalg.eigvalsh(mat[real].real)
+        return evals
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NumericalError(
             f"eigensolver failed on {mat.shape} matrix "
@@ -386,7 +402,7 @@ def state_from_amplitudes(amps: dict[tuple[int, int], complex] | np.ndarray,
                           cutoff: int) -> TwoModePureState:
     """Raw constructor (normalizes); unlike make_pure_state it allows support
     anywhere on the grid, e.g. for truncated squeezed states."""
-    d = cutoff + 1
+    d = _grid_side(cutoff)
     grid = np.zeros((d, d), dtype=complex)
     if isinstance(amps, dict):
         for (na, nb), v in amps.items():
@@ -497,8 +513,13 @@ def _entropy_bits(weights: np.ndarray) -> np.ndarray:
 
 
 def entropy_bits(probabilities: Iterable[float]) -> float:
-    """Shannon entropy (base 2) of a set of non-negative weights; 0 log 0 = 0."""
-    return float(_entropy_bits(np.asarray(list(probabilities), dtype=float)))
+    """Shannon entropy (base 2) of a set of probabilities, each in [0, 1];
+    0 log 0 = 0.  Any other weight, NaN included, raises ValidationError."""
+    weights = np.asarray(list(probabilities), dtype=float)
+    bad = [w for w in weights.ravel().tolist() if not 0.0 <= w <= 1.0]
+    if bad:
+        raise ValidationError(f"probabilities must lie in [0, 1], got {bad[0]}")
+    return float(_entropy_bits(weights))
 
 
 def _entropies(sigmas: np.ndarray) -> np.ndarray:
@@ -509,19 +530,8 @@ def _entropies(sigmas: np.ndarray) -> np.ndarray:
     the floor are clamped into [0, 1]."""
     herm = np.abs(sigmas - sigmas.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     evals = _checked_spectra(herm, np.trace(sigmas, axis1=-2, axis2=-1),
-                             lambda count: _eigvalsh_each(sigmas[:count]))
+                             lambda count: _eigvalsh(sigmas[:count]))
     return _entropy_bits(np.clip(evals, 0.0, 1.0))
-
-
-def _eigvalsh_each(mats: np.ndarray) -> np.ndarray:
-    """_eigvalsh of a stack of matrices, with its real fast path taken or
-    not for each matrix as it would be for that matrix alone."""
-    real = np.abs(mats.imag).max(axis=(-2, -1), initial=0.0) < 1e-14
-    evals = np.empty(mats.shape[:-1])
-    for pick in (real, ~real):
-        if pick.any():
-            evals[pick] = _eigvalsh(mats[pick])
-    return evals
 
 
 def _reduced_entropies(amps: np.ndarray) -> np.ndarray:

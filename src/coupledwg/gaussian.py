@@ -31,6 +31,8 @@ DISCRIMINANT_FLOOR = -1e-10
 
 
 def _as_covariance(state) -> np.ndarray:
+    if np.iscomplexobj(state):
+        raise ValidationError("a covariance is real, got a complex array")
     cov = np.asarray(state, dtype=float)
     if cov.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 covariance, got shape {cov.shape}")
@@ -41,16 +43,17 @@ def _blocks(cov: np.ndarray):
     return cov[:2, :2], cov[2:, 2:], cov[:2, 2:]
 
 
+def _determinants(cov: np.ndarray) -> list:
+    """det of the blocks of mode a, mode b and their cross term, and of the
+    whole covariance: inf or NaN where they overflow, for the caller to refuse."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [float(np.linalg.det(m)) for m in (*_blocks(cov), cov)]
+
+
 def symplectic_eigenvalues(state, partial_transposed: bool = False) -> tuple:
     """(nu_minus, nu_plus) from the quadratic invariant; the partial-transpose
     branch flips the sign of the cross-block determinant."""
-    cov = _as_covariance(state)
-    alpha, beta, cross = _blocks(cov)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        det_a = float(np.linalg.det(alpha))
-        det_b = float(np.linalg.det(beta))
-        det_c = float(np.linalg.det(cross))
-        det_v = float(np.linalg.det(cov))
+    det_a, det_b, det_c, det_v = _determinants(_as_covariance(state))
     delta = det_a + det_b + (-2.0 * det_c if partial_transposed else 2.0 * det_c)
     disc = delta * delta - 4.0 * det_v
     for name, value in (("Delta", delta), ("discriminant", disc)):
@@ -78,13 +81,17 @@ def log_negativity_gaussian(state) -> MeasureValue:
 
 def simon_separable(state, band: float = 1e-12) -> bool:
     """Determinant-based separability test for two-mode Gaussian states; for
-    these states it is exact, so it must agree with log_negativity == 0."""
+    these states it is exact, so it must agree with log_negativity == 0.
+    Invariants that are not finite raise NumericalError."""
     cov = _as_covariance(state)
     alpha, beta, cross = _blocks(cov)
-    det_a = float(np.linalg.det(alpha))
-    det_b = float(np.linalg.det(beta))
-    det_c = float(np.linalg.det(cross))
-    mixed = float(np.trace(alpha @ _J2 @ cross @ _J2 @ beta @ _J2 @ cross.T @ _J2))
+    det_a, det_b, det_c, _ = _determinants(cov)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mixed = float(np.trace(alpha @ _J2 @ cross @ _J2 @ beta @ _J2 @ cross.T @ _J2))
+    for name, value in (("det A", det_a), ("det B", det_b), ("det C", det_c),
+                        ("trace term", mixed)):
+        if not math.isfinite(value):
+            raise NumericalError(f"Simon invariants are not finite ({name} {value:.3e})")
     lhs = det_a * det_b + (0.25 - abs(det_c)) ** 2 - mixed
     rhs = 0.25 * (det_a + det_b)
     return lhs >= rhs - band
@@ -164,7 +171,4 @@ def two_mode_squeezed_state(r: float, cutoff: int) -> TwoModePureState:
     if not math.isfinite(r):
         raise ValidationError(f"r must be finite, got {r}")
     lam = math.tanh(r)
-    amps = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-    for n in range(cutoff + 1):
-        amps[n, n] = lam ** n
-    return state_from_amplitudes(amps, cutoff)
+    return state_from_amplitudes({(n, n): lam ** n for n in range(cutoff + 1)}, cutoff)

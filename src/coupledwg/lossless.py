@@ -36,6 +36,7 @@ from .fock import (
     TwoModePureState,
     _entropy_bits,
     _gated,
+    _grid_side,
     _pure_log_negativities,
     _total_photon_grid,
     noon_state,
@@ -43,7 +44,7 @@ from .fock import (
 
 # bytes built at once for one chunk of a time grid, here and in damped.py: a
 # grid is walked in chunks of this size, so memory does not grow with the
-# number of times
+# number of times.  It bounds memory only: no printed digit depends on it
 _CHUNK_BYTES = 1 << 20
 
 
@@ -171,7 +172,7 @@ def _evolved_measures(state: TwoModePureState, params: CouplerParams, times: np.
 def _assemble_sectors(cutoff: int, block) -> np.ndarray:
     """Grid operator with block(total) on each photon sector that fits on the
     grid (total <= cutoff) and the identity on the corner sectors above it."""
-    d = cutoff + 1
+    d = _grid_side(cutoff)
     out = np.eye(d * d, dtype=complex)
     for total in range(d):
         flat = np.arange(total + 1) * cutoff + total  # |n, total - n>, n = 0..total

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coupledwg import cli, lossless
+from coupledwg import cli, damped, lossless
 from coupledwg.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -435,7 +435,8 @@ def test_figure_csv_byte_identical_to_reference(figure_id, tmp_path):
 
 
 # numpy's dispatch held to X86_V2: exp, log2 and the complex loops then take
-# other code paths than under AVX-512, and the figures must not notice
+# other code paths than under AVX-512, and neither the figures nor the damped
+# chunk invariance must notice
 _DISPATCH_LIMIT = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
 _FIGURES_CHILD = """
 import sys, warnings
@@ -451,12 +452,18 @@ if refused:
 from coupledwg.cli import main
 for fid in sys.argv[1:]:
     assert main(["figure", fid, "-o", fid + ".csv"]) == 0
+from pathlib import Path
+from test_cli import _pinned_damped_csvs
+moved = [argv for argv, csvs in _pinned_damped_csvs(Path("damped.csv")).items()
+         if len(set(csvs)) > 1]
+assert not moved, f"the chunk budget moved {moved}"
 """
 
 
 def test_figures_byte_identical_under_a_second_simd_target(tmp_path):
     ids = sorted(p.stem for p in _REF_FIGURES.glob("*.csv"))
-    path = [str(_REF_FIGURES.parents[2] / "src"), os.environ.get("PYTHONPATH", "")]
+    path = [str(_REF_FIGURES.parents[2] / "src"), str(Path(__file__).resolve().parent),
+            os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": _DISPATCH_LIMIT,
            "PYTHONPATH": os.pathsep.join(filter(None, path))}
     run = subprocess.run([sys.executable, "-c", _FIGURES_CHILD, *ids], cwd=tmp_path, env=env,
@@ -483,3 +490,26 @@ def test_damped_csv_matches_reference(argv, tmp_path):
     assert header == ref_header and rows.shape == ref_rows.shape
     # the benchmark's tolerance: 1e-12 absolute plus 1e-9 relative
     assert np.all(np.abs(rows - ref_rows) <= 1e-12 + 1e-9 * np.abs(ref_rows))
+
+
+def _pinned_damped_csvs(out):
+    """{argv: CSV bytes under 4 KiB, 16 KiB, the default and 64 MiB chunk
+    budgets} for each pinned damped argv, written through out."""
+    default = damped._CHUNK_BYTES
+    csvs = {}
+    try:
+        for budget in (1 << 12, 1 << 14, default, 1 << 26):
+            damped._CHUNK_BYTES = budget
+            for argv in sorted(_DAMPED_MANIFEST):
+                assert main(argv.split(" ") + ["-o", str(out)]) == EXIT_OK
+                csvs.setdefault(argv, []).append(out.read_bytes())
+    finally:
+        damped._CHUNK_BYTES = default
+    return csvs
+
+
+def test_pinned_damped_csvs_do_not_depend_on_the_chunk_budget(tmp_path):
+    # the chunk budget bounds memory only: no printed digit moves with it
+    # (row-count-dependent sums once moved row 70 of fock:3,0 at 4 KiB)
+    for argv, csvs in _pinned_damped_csvs(tmp_path / "damped.csv").items():
+        assert len(set(csvs)) == 1, argv

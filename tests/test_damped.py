@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import coupledwg.damped as damped
+import coupledwg.lossless as lossless
 from coupledwg.damped import (
     BogoliubovParams,
     DampedParams,
@@ -23,6 +24,8 @@ from coupledwg.damped import (
 from coupledwg.errors import CapacityError, NumericalError, TruncationError, ValidationError
 from coupledwg.fock import (
     TwoModeDensityMatrix,
+    _pure_log_negativities,
+    _reduced_entropies,
     fock_state,
     log_negativity,
     noon_state,
@@ -31,8 +34,9 @@ from coupledwg.fock import (
     state_from_amplitudes,
     von_neumann_entropy,
 )
-from coupledwg.lossless import CouplerParams, entropy_closed, evolve_lossless_dm, \
-    pt_spectrum_closed
+from coupledwg.lossless import CouplerParams, _entropies_closed, _evolved_measures, \
+    _noon_log_negativities, entropy_closed, evolve_lossless_dm, pt_spectrum_closed
+from coupledwg.thermal import _thermal_entropies
 
 P = DampedParams(omega=0.0, J=0.5, gamma=0.05)
 
@@ -210,15 +214,18 @@ def _normal_mode_route(rho, p, t):
     return u.conj().T @ sigma @ u
 
 
-def _grid_inputs():
+def _grid_pure_states():
     tmsv = np.zeros((9, 9))
     tmsv[np.arange(5), np.arange(5)] = 0.5 ** np.arange(5)
-    pure = [noon_state(1, 1), noon_state(2, 2), noon_state(6, 6), noon_state(10, 10),
+    return [noon_state(1, 1), noon_state(2, 2), noon_state(6, 6), noon_state(10, 10),
             fock_state(2, 1, 3), fock_state(3, 3, 6),
             state_from_amplitudes({(0, 0): 1.0, (1, 2): 0.5j, (2, 0): -0.3,
                                    (0, 1): 0.2}, 3),
             state_from_amplitudes(tmsv / np.linalg.norm(tmsv), 8)]
-    rhos = [TwoModeDensityMatrix.from_pure(state) for state in pure]
+
+
+def _grid_inputs():
+    rhos = [TwoModeDensityMatrix.from_pure(state) for state in _grid_pure_states()]
     mix = [TwoModeDensityMatrix.from_pure(state).entries for state in (
         fock_state(1, 1, 3), state_from_amplitudes({(0, 2): 1.0, (1, 0): 0.4}, 3))]
     return rhos + [TwoModeDensityMatrix(3, 0.6 * mix[0] + 0.4 * mix[1])]
@@ -237,23 +244,62 @@ def test_propagator_matches_normal_mode_route():
                     assert np.max(np.abs(state.entries - want)) <= 1e-12, (rho.cutoff, p, t)
 
 
-@pytest.mark.parametrize("chunk_bytes", [damped._CHUNK_BYTES, 1 << 18, 1 << 14])
+# (gamma, times) of the chunking tests
+_GRIDS = ((0.05, np.concatenate((np.linspace(0.0, 8.0, 37), [40.0, 0.3]))),
+          # unsorted, across gamma t in [700, 760], where e^{-gamma t} underflows
+          (100.0, np.array([7.6, 7.0, 0.01, 7.46, 7.3, 7.05, 7.5])))
+
+
+@pytest.mark.parametrize("chunk_bytes", [damped._CHUNK_BYTES, 1 << 18, 1 << 14, 1 << 26])
 def test_batch_matches_scalar_calls(chunk_bytes, monkeypatch):
-    # a state agrees within 1e-13 whatever chunk of the grid it was built
-    # in; its printed measures can differ in the last digit between
-    # chunkings, since some sums over a chunk depend on how many times share it
+    # a state is the one-time call's bit for bit, whatever chunk of the grid
+    # it was built in: no step of the propagator depends on how many times
+    # share a chunk
     monkeypatch.setattr(damped, "_CHUNK_BYTES", chunk_bytes)
-    grids = ((0.05, np.concatenate((np.linspace(0.0, 8.0, 37), [40.0, 0.3]))),
-             # unsorted, across gamma t in [700, 760], where e^{-gamma t} underflows
-             (100.0, np.array([7.6, 7.0, 0.01, 7.46, 7.3, 7.05, 7.5])))
     for rho in _grid_inputs():
-        for gamma, times in grids:
+        for gamma, times in _GRIDS:
             p = DampedParams(0.7, 1.3, gamma)
             batch = evolve_damped_exact(rho, p, times)
             for t in times:
                 want = evolve_damped_exact(rho, p, float(t)).entries
-                assert np.max(np.abs(next(batch).entries - want)) <= 1e-13, (rho.cutoff, t)
+                assert np.array_equal(next(batch).entries, want), (rho.cutoff, t)
             assert next(batch, None) is None
+
+
+def _one_at_a_time(column, grid):
+    # the column of a grid built from the column's one-point calls
+    return np.concatenate([column(grid[k:k + 1]) for k in range(grid.size)], axis=-1)
+
+
+def _column_forms():
+    # (label, column of a grid) for every column form over a time or Jt grid
+    for rho in _grid_inputs():
+        for gamma, _ in _GRIDS:
+            p = DampedParams(0.7, 1.3, gamma)
+            yield f"damped {rho} gamma {gamma}", lambda g, rho=rho, p=p: np.concatenate(
+                list(evolve_damped_exact(rho, p, g).measures()), axis=1)
+    params = CouplerParams(0.7, 1.3)
+    for state in _grid_pure_states():
+        yield f"lossless cutoff {state.cutoff}", lambda g, state=state: np.array(
+            _evolved_measures(state, params, g, _pure_log_negativities, _reduced_entropies))
+    for total in (1, 2, 6, 10):
+        yield f"noon {total}", functools.partial(_noon_log_negativities, total)
+        yield f"entropy_closed {total}", functools.partial(_entropies_closed, total)
+        yield f"thermal {total}", lambda g, total=total: _thermal_entropies(total, g, [1.0])
+
+
+def test_columns_equal_one_time_calls_under_any_chunk_budget(monkeypatch):
+    # every column of a grid is its one-point calls bit for bit, under the
+    # default chunk budget, 16 KiB and 64 MiB: the budget bounds memory only
+    forms = list(_column_forms())
+    grids = [times for _, times in _GRIDS]
+    want = [[_one_at_a_time(column, grid) for grid in grids] for _, column in forms]
+    for budget in (damped._CHUNK_BYTES, 1 << 14, 1 << 26):
+        monkeypatch.setattr(damped, "_CHUNK_BYTES", budget)
+        monkeypatch.setattr(lossless, "_CHUNK_BYTES", budget)
+        for (label, column), columns in zip(forms, want):
+            for grid, one_at_a_time in zip(grids, columns):
+                assert np.array_equal(column(grid), one_at_a_time), (label, budget, grid[0])
 
 
 def test_batch_crossing_the_vacuum_limit():

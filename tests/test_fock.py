@@ -33,7 +33,7 @@ from coupledwg.fock import (
     von_neumann_entropy,
 )
 from coupledwg.gaussian import two_mode_squeezed_state
-from coupledwg.lossless import entropy_closed
+from coupledwg.lossless import CouplerParams, entropy_closed, lossless_unitary
 from coupledwg.thermal import ThermalOccupation, thermal_entropy
 
 
@@ -191,9 +191,27 @@ def test_from_pure_holds_one_matrix():
 
 
 def test_density_matrix_refuses_a_negative_cutoff():
-    # numpy met it as "zero-size array to reduction operation"
-    with pytest.raises(ValidationError, match="cutoff must be non-negative"):
-        TwoModeDensityMatrix(-1, np.zeros((0, 0)))
+    # numpy met it as "zero-size array to reduction operation" or "negative
+    # dimensions are not allowed", and lossless_unitary returned a (0, 0) array
+    for build in (lambda: TwoModeDensityMatrix(-1, np.zeros((0, 0))),
+                  lambda: state_from_amplitudes({(0, 0): 1.0}, -2),
+                  lambda: state_from_amplitudes(np.zeros((0, 0)), -1),
+                  lambda: two_mode_squeezed_state(0.5, -2),
+                  lambda: lossless_unitary(-1, CouplerParams(0.0, 1.0), 0.5)):
+        with pytest.raises(ValidationError, match="cutoff must be non-negative"):
+            build()
+
+
+def test_states_compare_by_identity_and_repr_reads_no_dense_matrix():
+    # the generated __eq__ compared arrays (numpy's "ambiguous truth value"
+    # ValueError), states did not hash, and repr built the dense entries
+    rho = TwoModeDensityMatrix.from_pure(noon_state(40, 40))
+    assert repr(rho) == "TwoModeDensityMatrix(cutoff=40, occupied=4)"
+    assert "entries" not in vars(rho)
+    twin = TwoModeDensityMatrix.from_pure(noon_state(40, 40))
+    assert rho == rho and rho != twin and len({rho, twin, rho}) == 2
+    state = noon_state(2, 2)
+    assert state == state and state != noon_state(2, 2) and len({state}) == 1
 
 
 def test_density_matrix_must_have_unit_trace():
@@ -336,6 +354,10 @@ def test_entropy_bits_conventions():
     assert entropy_bits([0.5, 0.5]) == 1.0
     assert entropy_bits([0.5, 0.5, 0.0]) == 1.0
     assert abs(entropy_bits([0.25] * 4) - 2.0) < 1e-15
+    # weights that are no probabilities gave -2.0, -0.877, nan and -inf
+    for weights in ([2.0], [-0.5, 1.5], [math.nan], [math.inf], [0.5, -1e-300]):
+        with pytest.raises(ValidationError, match=r"probabilities must lie in \[0, 1\]"):
+            entropy_bits(weights)
 
 
 def test_pure_shortcut_matches_partial_transpose():

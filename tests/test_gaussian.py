@@ -217,6 +217,26 @@ def test_squeezing_whose_double_overflows_is_refused():
             vacuum_evolved_covariance(P, 1.0, 0.25, r)
 
 
+def test_simon_refuses_invariants_that_are_not_finite():
+    # both once gave False with RuntimeWarnings
+    infinite = np.where(np.eye(4) > 0.0, math.inf, 0.0)
+    for cov, name in ((np.full((4, 4), math.nan), "det A nan"), (infinite, "det A inf")):
+        with pytest.raises(NumericalError, match=f"Simon invariants are not finite \\({name}"):
+            simon_separable(cov)
+    # finite blocks whose product overflows in the trace term
+    huge = tmsv_covariance(0.25) * 1e80
+    with pytest.raises(NumericalError, match="trace term inf"):
+        simon_separable(huge)
+
+
+def test_complex_covariance_is_refused():
+    # the imaginary part was dropped under a ComplexWarning: (0.5, 0.5)
+    with pytest.raises(ValidationError, match="a covariance is real"):
+        symplectic_eigenvalues(0.5 * np.eye(4) + 1j)
+    with pytest.raises(ValidationError, match="a covariance is real"):
+        simon_separable(vacuum_covariance().astype(complex))
+
+
 def test_overflow_message_names_the_invariant_that_overflowed():
     # at r = 200 det V rounds to 0 while Delta is inf
     with pytest.raises(NumericalError, match=r"overflow a float \(Delta inf\)"):
