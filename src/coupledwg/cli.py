@@ -22,9 +22,9 @@ import numpy as np
 from .damped import (
     _PURITY_VARIANTS,
     DampedParams,
-    damped_entropy,
+    _damped_entropies,
+    _purities_closed,
     evolve_damped_exact,
-    purity_closed,
 )
 from .errors import CoupledwgError, NumericalError, ToleranceExceeded
 from .fock import (
@@ -35,7 +35,7 @@ from .fock import (
     fock_state,
     make_pure_state,
 )
-from .gaussian import thermal_evolved_covariance, log_negativity_gaussian
+from .gaussian import _log_negativities_gaussian, _thermal_evolved_covariances
 from .lindblad import IntegratorConfig, compare, default_dt, integrate
 from .lossless import (
     CouplerParams,
@@ -156,32 +156,46 @@ class RunConfig:
                     f"{self.input_spec!r}")
 
 
+# rows of CSV text formatted and written at once, so that a long grid's text
+# is never held whole
+_CSV_BLOCK_ROWS = 4096
+
+
 def _fmt(value: float) -> str:
     return "%.12g" % (float(value) + 0.0)  # +0.0 folds -0.0 into 0
 
 
 def write_csv(path: str | None, header: list, columns: list) -> None:
     """Write columns (equal-length 1-D arrays) as CSV; '-' or None = stdout.
-    The first column must be finite and strictly increasing."""
+    The first column must be finite and strictly increasing.  Values print
+    as _fmt prints them, one row template over blocks of _CSV_BLOCK_ROWS
+    rows."""
     first = np.asarray(columns[0], dtype=float)
     if not (np.isfinite(first).all() and np.all(np.diff(first) > 0.0)):
         raise NumericalError("first CSV column must be finite and strictly increasing")
     if len(header) != len(columns):
         raise CoupledwgError("header/column count mismatch")
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    blocks = _csv_blocks(header, np.column_stack(columns))
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
         return
-    _write_text(path, text)
+    _write_text(path, blocks)
 
 
-def _write_text(path: str, text: str) -> None:
+def _csv_blocks(header: list, table: np.ndarray):
+    """The CSV text of a table (rows x columns): the header line, then one
+    string per block of _CSV_BLOCK_ROWS rows."""
+    yield ",".join(header) + "\n"
+    row = ",".join(["%.12g"] * len(header)) + "\n"
+    for begin in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = (table[begin:begin + _CSV_BLOCK_ROWS] + 0.0).tolist()  # as _fmt folds -0.0
+        yield "".join([row % tuple(values) for values in block])
+
+
+def _write_text(path: str, blocks) -> None:
     try:
         with open(path, "w", encoding="ascii", newline="") as handle:
-            handle.write(text)
+            handle.writelines(blocks)
     except OSError as exc:
         raise UsageError(f"cannot write {path!r}: {exc}") from None
 
@@ -198,11 +212,6 @@ def _tabulate(path: str | None, first: str, grid: np.ndarray, scale: float,
     if not np.isfinite(scaled).all():
         raise NumericalError(f"column {first} = {scale:g} * {grid[-1]:g} overflows a float")
     write_csv(path, [first, *names], [scaled, *values])
-
-
-def _pointwise(curve: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    """The column of a scalar curve: curve(x) at each grid point, in order."""
-    return lambda grid: np.array([float(curve(float(x))) for x in grid])
 
 
 def _each(columns: dict) -> tuple:
@@ -243,9 +252,10 @@ def _jt_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(0.0, span, cfg.steps + 1)
 
 
-def _tmsv_en(p: DampedParams, t: float, nbar: float, r: float):
-    # the Gaussian route: E_N of the TMSV r seeded with nbar in both modes
-    return log_negativity_gaussian(thermal_evolved_covariance(p, t, nbar, nbar, r, r))
+def _tmsv_en(p: DampedParams, t, nbar, r: float) -> np.ndarray:
+    # the Gaussian route: E_N of the TMSV r seeded with nbar in both modes,
+    # over a grid of t or of nbar
+    return _log_negativities_gaussian(_thermal_evolved_covariances(p, t, nbar, nbar, r, r))
 
 
 def _run_lossless(cfg: RunConfig) -> None:
@@ -296,13 +306,13 @@ def _run_gaussian(cfg: RunConfig) -> None:
     (r,) = _input_spec(cfg, StateSpec("tmsv", (cfg.squeeze,))).params
     p = DampedParams(cfg.omega, cfg.coupling, cfg.gamma)
     _tabulate(cfg.output_path, "Jt", _times(cfg), cfg.coupling,
-              *_each({"E_N": _pointwise(lambda t: _tmsv_en(p, t, cfg.nbar, r))}))
+              *_each({"E_N": lambda times: _tmsv_en(p, times, cfg.nbar, r)}))
 
 
 def _run_purity(cfg: RunConfig) -> None:
     p = DampedParams(cfg.omega, cfg.coupling, cfg.gamma)
     _tabulate(cfg.output_path, "Jt", _times(cfg), cfg.coupling,
-              *_each({"purity": _pointwise(lambda t: purity_closed(p, t, cfg.variant))}))
+              *_each({"purity": lambda times: _purities_closed(p, times, cfg.variant)}))
 
 
 def _run_compare(cfg: RunConfig) -> None:
@@ -338,7 +348,7 @@ def _dump_oracle_states(path: str, trajectory) -> None:
             for j in range(state.shape[1]):
                 lines.append(",".join((_fmt(t), str(i), str(j),
                                        _fmt(state[i, j].real), _fmt(state[i, j].imag))))
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, ["\n".join(lines) + "\n"])
 
 
 # --- figure reproduction -----------------------------------------------------
@@ -362,24 +372,23 @@ def _fock_en(na: int, nb: int, jts: np.ndarray) -> np.ndarray:
 
 def _damped_s(total: int, gamma: float):
     p = DampedParams(0.0, 0.5, gamma)
-    return _pointwise(lambda jt: damped_entropy(total, p, jt / p.J))
+    return lambda jts: _damped_entropies(total, p, jts / p.J)
 
 
 def _tmsv_vs_t(gamma: float):
     # E_N of the r = 0.25 TMSV at J = 0.5 and nbar = 0 against t
     p = DampedParams(0.0, 0.5, gamma)
-    return _pointwise(lambda t: _tmsv_en(p, t, 0.0, 0.25))
+    return lambda times: _tmsv_en(p, times, 0.0, 0.25)
 
 
 def _tmsv_vs_nbar(r: float):
     # E_N of the TMSV r at J = 0.5, gamma = 0.05 and t = 1 against nbar
     p = DampedParams(0.0, 0.5, 0.05)
-    return _pointwise(lambda nbar: _tmsv_en(p, 1.0, nbar, r))
+    return lambda nbars: _tmsv_en(p, 1.0, nbars, r)
 
 
 def _purity_vs_t(coupling: float, gamma: float):
-    p = DampedParams(0.0, coupling, gamma)
-    return _pointwise(lambda t: purity_closed(p, t))
+    return partial(_purities_closed, DampedParams(0.0, coupling, gamma))
 
 
 def _thermal_jt_panel(total: int) -> tuple:

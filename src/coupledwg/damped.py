@@ -44,6 +44,13 @@ _CHUNK_BYTES, so at most one chunk is alive however many times are asked for.
 The budget bounds memory only: each row's arithmetic is that of its time alone
 (a vector-matrix loss product per time, ordered sums, and the real or complex
 eigensolve chosen per matrix), so a row equals the one-time call bit for bit.
+
+The closed forms take whole time grids as well: _damped_entropies is one
+binomial table per grid at effective angles taken with math per time, and
+_purities_closed keeps its cmath per time.  damped_entropy,
+damped_pt_spectrum and purity_closed are one-point calls of them, so a
+column equals the point calls bit for bit, with the same errors at its first
+failing point.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from .fock import (
     _Occupied,
     _checked_spectra,
     _entropies,
+    _entropy_bits,
     _gated,
     _log_negativities,
     _ordered_sum,
@@ -510,17 +518,21 @@ def _theta(p: DampedParams, t: float) -> complex:
     return complex(math.sqrt(2.0) * p.gamma, p.J) * t
 
 
-def _damped_diagonal(total: int, p: DampedParams, t: float) -> np.ndarray:
-    # The lossless family at the effective angle: sin^2 -> |sinh th|^2 / cosh 2x
-    # and cos^2 -> |cosh th|^2 / cosh 2x with th = x + iy, both written through
-    # tanh x so that no factor overflows at large gamma t.
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValidationError(f"t must be finite and >= 0, got {t}")
-    x, y = math.sqrt(2.0) * p.gamma * t, p.J * t
-    th2 = math.tanh(x) ** 2
-    s2 = (th2 + math.sin(y) ** 2 * (1.0 - th2)) / (1.0 + th2)
-    c2 = (th2 + math.cos(y) ** 2 * (1.0 - th2)) / (1.0 + th2)
-    return _binomial_family(total, s2, c2)
+def _damped_diagonals(total: int, p: DampedParams, times: np.ndarray) -> np.ndarray:
+    """The lossless family at the effective angle of each time of a 1-D
+    array, one row per time: sin^2 -> |sinh th|^2 / cosh 2x and cos^2 ->
+    |cosh th|^2 / cosh 2x with th = x + iy, both written through tanh x so
+    that no factor overflows at large gamma t.  The angles are math's, per
+    time; the first time that is not finite and >= 0 raises."""
+    s2, c2 = [], []
+    for t in times.tolist():
+        if not (math.isfinite(t) and t >= 0.0):
+            raise ValidationError(f"t must be finite and >= 0, got {t}")
+        x, y = math.sqrt(2.0) * p.gamma * t, p.J * t
+        th2 = math.tanh(x) ** 2
+        s2.append((th2 + math.sin(y) ** 2 * (1.0 - th2)) / (1.0 + th2))
+        c2.append((th2 + math.cos(y) ** 2 * (1.0 - th2)) / (1.0 + th2))
+    return _binomial_family(total, np.array(s2)[:, None], np.array(c2)[:, None])
 
 
 def damped_pt_spectrum(total: int, p: DampedParams, t: float) -> np.ndarray:
@@ -529,19 +541,60 @@ def damped_pt_spectrum(total: int, p: DampedParams, t: float) -> np.ndarray:
     lossless spectrum at the effective angle atan(|sinh th| / |cosh th|),
     th = (sqrt(2) gamma + i J) t.  At gamma = 0 this coincides with the
     lossless spectrum as a multiset."""
-    weights = _damped_diagonal(total, p, t)
+    weights = _damped_diagonals(total, p, np.array([t]))[0]
     mags = np.sqrt(weights)
     return _pt_spectrum(weights, np.outer(mags, mags))
+
+
+def _damped_entropies(total: int, p: DampedParams, times: np.ndarray) -> np.ndarray:
+    """damped_entropy over a 1-D array of times: one binomial table for the
+    grid.  A row with a weight outside [0, 1] is checked alone, as
+    entropy_bits checks it."""
+    weights = _damped_diagonals(total, p, times)
+    for k in np.flatnonzero(~((weights >= 0.0) & (weights <= 1.0)).all(axis=1)).tolist():
+        entropy_bits(weights[k])
+    return _gated("entropy", _entropy_bits(weights))
 
 
 def damped_entropy(total: int, p: DampedParams, t: float) -> MeasureValue:
     """Entropy (bits) of the normalized diagonal family; reduces to the
     lossless entropy at gamma = 0, to 0 at t = 0, and to the entropy of
     Binomial(N, 1/2) as gamma t grows."""
-    return MeasureValue("entropy", entropy_bits(_damped_diagonal(total, p, t)))
+    return MeasureValue("entropy", float(_damped_entropies(total, p, np.array([t]))[0]))
 
 
 _PURITY_VARIANTS = ("as-printed", "rate-times-t")
+
+
+def _purities_closed(p: DampedParams, times: np.ndarray,
+                     variant: str = "as-printed") -> np.ndarray:
+    """purity_closed over a 1-D array of times, each value cmath's, per
+    time; the first time that fails raises its error."""
+    if variant not in _PURITY_VARIANTS:
+        raise ValidationError(f"variant must be one of {_PURITY_VARIANTS}, got {variant!r}")
+    values = []
+    for t in times.tolist():
+        if not (math.isfinite(t) and t >= 0.0):
+            raise ValidationError(f"t must be finite and >= 0, got {t}")
+        th = _theta(p, t)
+        if th == 0.0 or p.gamma == 0.0:  # th underflows only where 4 gamma t does: the limit 1
+            values.append(1.0)
+            continue
+        if not cmath.isfinite(th):
+            raise NumericalError(f"(sqrt(2) gamma + i J) t = {th} overflows a float")
+        if variant == "as-printed":
+            mix = complex(p.gamma, p.J * t)
+        else:
+            mix = complex(p.gamma, p.J) * t
+        # -4 gamma t sinh th / (th cosh th + mix sinh th), divided through by
+        # cosh th so that nothing overflows at large gamma t
+        tanh = cmath.tanh(th)
+        expo = -4.0 * p.gamma * t * tanh / (th + mix * tanh)
+        value = min(max(cmath.exp(expo).real, 0.0), 1.0)
+        if math.isnan(value):  # refused here, by MeasureValue's gate, before a later time's error
+            _gated("purity", np.array([value]))
+        values.append(value)
+    return np.array(values)
 
 
 def purity_closed(p: DampedParams, t: float, variant: str = "as-printed") -> MeasureValue:
@@ -561,22 +614,4 @@ def purity_closed(p: DampedParams, t: float, variant: str = "as-printed") -> Mea
     the "as-printed" value exceeds 1 on 445 of the 1200 nonzero-time points
     of figure 5a (max 1.049) and on 132 of 1200 in figure 5b (max 1.056).
     """
-    if variant not in _PURITY_VARIANTS:
-        raise ValidationError(f"variant must be one of {_PURITY_VARIANTS}, got {variant!r}")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValidationError(f"t must be finite and >= 0, got {t}")
-    th = _theta(p, t)
-    if th == 0.0 or p.gamma == 0.0:  # th underflows only where 4 gamma t does: the limit 1
-        return MeasureValue("purity", 1.0)
-    if not cmath.isfinite(th):
-        raise NumericalError(f"(sqrt(2) gamma + i J) t = {th} overflows a float")
-    if variant == "as-printed":
-        mix = complex(p.gamma, p.J * t)
-    else:
-        mix = complex(p.gamma, p.J) * t
-    # -4 gamma t sinh th / (th cosh th + mix sinh th), divided through by
-    # cosh th so that nothing overflows at large gamma t
-    tanh = cmath.tanh(th)
-    expo = -4.0 * p.gamma * t * tanh / (th + mix * tanh)
-    val = cmath.exp(expo).real
-    return MeasureValue("purity", min(max(val, 0.0), 1.0))
+    return MeasureValue("purity", float(_purities_closed(p, np.array([t]), variant)[0]))

@@ -368,7 +368,7 @@ def make_pure_state(spec: StateSpec, cutoff: int) -> TwoModePureState:
     """
     if not isinstance(spec, StateSpec):
         raise ValidationError("make_pure_state expects a StateSpec")
-    d = cutoff + 1
+    d = _grid_side(cutoff)
     if spec.kind == "fock":
         na, nb = int(spec.params[0]), int(spec.params[1])
         if na < 0 or nb < 0:

@@ -24,6 +24,7 @@ from coupledwg.cli import (
 )
 from coupledwg.damped import DampedParams, purity_closed
 from coupledwg.errors import NumericalError
+from coupledwg.gaussian import log_negativity_gaussian, thermal_evolved_covariance
 
 
 def read_csv(path):
@@ -288,6 +289,46 @@ def test_no_negative_zero_in_output(tmp_path):
     assert "-0," not in out.read_text()
 
 
+def _point_by_point_csv(argv):
+    # the CSV of a gaussian or purity argv, one scalar public call per row
+    cfg = config_from_args(build_parser().parse_args(argv))
+    p = DampedParams(cfg.omega, cfg.coupling, cfg.gamma)
+    if cfg.command == "gaussian":
+        name, value = "E_N", lambda t: log_negativity_gaussian(thermal_evolved_covariance(
+            p, t, cfg.nbar, cfg.nbar, cfg.squeeze, cfg.squeeze))
+    else:
+        name, value = "purity", lambda t: purity_closed(p, t, cfg.variant)
+    times = np.linspace(0.0, cfg.t_max, cfg.steps + 1).tolist()
+    return f"Jt,{name}\n" + "".join(
+        "%.12g,%.12g\n" % (cfg.coupling * t + 0.0, float(value(t)) + 0.0) for t in times)
+
+
+# the defaults, no loss, gamma t up to 4000, thermal seeding, the second
+# purity variant, and a rotating, detuned coupler
+@pytest.mark.parametrize("argv", [
+    "gaussian", "gaussian --gamma 0", "gaussian --gamma 100 --tmax 40", "gaussian --nbar 0.8",
+    "gaussian --nbar 3 --r 1.5 --steps 37", "gaussian --r -0.7 --omega 2 --J 3",
+    "purity", "purity --gamma 0", "purity --gamma 100 --tmax 40",
+    "purity --variant rate-times-t", "purity --variant rate-times-t --omega 2 --J 0.25",
+])
+def test_gaussian_and_purity_csvs_equal_their_point_calls(argv, tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(argv.split() + ["-o", str(out)]) == EXIT_OK
+    assert out.read_text() == _point_by_point_csv(argv.split())
+
+
+def test_csv_is_written_in_blocks_of_rows(tmp_path, monkeypatch, capsys):
+    # a grid longer than a block prints as it does in one block
+    argv = ["lossless", "--input", "noon:2", "--steps", "50"]
+    texts = []
+    for rows in (cli._CSV_BLOCK_ROWS, 7, 1):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", rows)
+        for out in (str(tmp_path / "x.csv"), "-"):
+            assert main(argv + ["-o", out]) == EXIT_OK
+            texts.append(capsys.readouterr().out if out == "-" else (tmp_path / "x.csv").read_text())
+    assert len(set(texts)) == 1 and texts[0].count("\n") == 52
+
+
 def test_figure_matches_direct_library_call(tmp_path):
     out = tmp_path / "fig5a.csv"
     assert main(["figure", "5a", "-o", str(out)]) == EXIT_OK
@@ -457,6 +498,9 @@ from test_cli import _pinned_damped_csvs
 moved = [argv for argv, csvs in _pinned_damped_csvs(Path("damped.csv")).items()
          if len(set(csvs)) > 1]
 assert not moved, f"the chunk budget moved {moved}"
+from test_damped import _closed_form_mismatches
+mismatched = _closed_form_mismatches()
+assert not mismatched, f"columns differ from their one-point calls: {mismatched}"
 """
 
 

@@ -10,8 +10,11 @@ import pytest
 import coupledwg.damped as damped
 import coupledwg.lossless as lossless
 from coupledwg.damped import (
+    _PURITY_VARIANTS,
     BogoliubovParams,
     DampedParams,
+    _damped_entropies,
+    _purities_closed,
     bogoliubov_params,
     damped_entropy,
     damped_pt_spectrum,
@@ -21,7 +24,13 @@ from coupledwg.damped import (
     mode_rotation,
     purity_closed,
 )
-from coupledwg.errors import CapacityError, NumericalError, TruncationError, ValidationError
+from coupledwg.errors import (
+    CapacityError,
+    CoupledwgError,
+    NumericalError,
+    TruncationError,
+    ValidationError,
+)
 from coupledwg.fock import (
     TwoModeDensityMatrix,
     _pure_log_negativities,
@@ -33,6 +42,14 @@ from coupledwg.fock import (
     reduced_state,
     state_from_amplitudes,
     von_neumann_entropy,
+)
+from coupledwg.gaussian import (
+    _log_negativities_gaussian,
+    _symplectic_spectra,
+    _thermal_evolved_covariances,
+    log_negativity_gaussian,
+    symplectic_eigenvalues,
+    thermal_evolved_covariance,
 )
 from coupledwg.lossless import CouplerParams, _entropies_closed, _evolved_measures, \
     _noon_log_negativities, entropy_closed, evolve_lossless_dm, pt_spectrum_closed
@@ -300,6 +317,88 @@ def test_columns_equal_one_time_calls_under_any_chunk_budget(monkeypatch):
         for (label, column), columns in zip(forms, want):
             for grid, one_at_a_time in zip(grids, columns):
                 assert np.array_equal(column(grid), one_at_a_time), (label, budget, grid[0])
+
+
+# the closed forms' time grid: t = 0, an unsorted tail, gamma t up to 800,
+# and 5e-324, where theta underflows at J = 1e-12
+_CLOSED_TIMES = np.concatenate((np.linspace(0.0, 8.0, 17), [40.0, 400.0, 0.3, 5e-324]))
+_CLOSED_NBARS = np.array([0.0, 0.25, 1.0, 3.0, 0.0, 8.0])
+
+
+def _closed_form_mismatches() -> list:
+    """The labels of the closed-form column forms that differ from their
+    one-point calls, compared as bytes so that signed zeros count: the
+    Gaussian covariances, symplectic spectra and E_N over (gamma, nbar, r)
+    grids, damped_entropy and both purity_closed variants."""
+    mismatches = []
+
+    def check(label, column, points):
+        if np.asarray(column).tobytes() != np.array(points, dtype=float).tobytes():
+            mismatches.append(label)
+    times = _CLOSED_TIMES.tolist()
+    for gamma in (0.0, 0.05, 2.0):
+        p = DampedParams(0.7, 1.3, gamma)
+        for r in (0.0, 0.25, 1.5):
+            grids = [(f"t, nbar {nbar}", _CLOSED_TIMES, nbar, [(t, nbar) for t in times])
+                     for nbar in (0.0, 1.0)]
+            grids.append(("nbar", 1.0, _CLOSED_NBARS, [(1.0, n) for n in _CLOSED_NBARS.tolist()]))
+            for grid, t, nbar, points in grids:
+                label = f"gamma {gamma} r {r} over {grid}"
+                covs = _thermal_evolved_covariances(p, t, nbar, nbar, r, r)
+                check(f"covariances {label}", covs,
+                      [thermal_evolved_covariance(p, *point, point[1], r, r) for point in points])
+                check(f"E_N {label}", _log_negativities_gaussian(covs),
+                      [float(log_negativity_gaussian(cov)) for cov in covs])
+                for flip in (False, True):
+                    check(f"spectra {flip} {label}", list(_symplectic_spectra(covs, flip)),
+                          [symplectic_eigenvalues(cov, flip) for cov in covs])
+        for total in (1, 2, 5):
+            check(f"damped_entropy {total} gamma {gamma}", _damped_entropies(total, p, _CLOSED_TIMES),
+                  [float(damped_entropy(total, p, t)) for t in times])
+        for q in (p, DampedParams(0.0, 1e-12, gamma)):
+            for variant in _PURITY_VARIANTS:
+                check(f"purity_closed {variant} {q}", _purities_closed(q, _CLOSED_TIMES, variant),
+                      [float(purity_closed(q, t, variant)) for t in times])
+    return mismatches
+
+
+def test_closed_form_columns_equal_one_point_calls():
+    # the columns behind figures 3a-6 and the gaussian and purity commands
+    # are their one-point calls bit for bit
+    assert _closed_form_mismatches() == []
+
+
+def _first_error(calls) -> tuple:
+    # (index, type, message) of the first call that raises
+    for k, call in enumerate(calls):
+        try:
+            call()
+        except CoupledwgError as exc:
+            return k, type(exc), str(exc)
+    return None
+
+
+def test_closed_form_columns_raise_the_first_failing_points_error():
+    p = DampedParams(0.0, 0.5, 0.05)
+    # nbar = 1e100 overflows the discriminant, 1e308 Delta itself
+    for nbars in ([0.0, 1.0, 1e100, 1e308], [0.0, 1.0, 1e308, 1e100]):
+        k, kind, message = _first_error(
+            [lambda n=n: log_negativity_gaussian(thermal_evolved_covariance(p, 1.0, n, n, 0.25, 0.25))
+             for n in nbars])
+        assert k == 2
+        with pytest.raises(kind) as info:
+            _log_negativities_gaussian(_thermal_evolved_covariances(
+                p, 1.0, np.array(nbars), np.array(nbars), 0.25, 0.25))
+        assert str(info.value) == message
+    # theta overflows from J t = 2e308 on; at gamma = 1e308 the purity is NaN
+    # (refused by its gate) from the first t > 0, and theta overflows later
+    for q, times, first in ((DampedParams(0.0, 1e307, 0.05), [0.0, 1.0, 5.0, 20.0, 50.0], 3),
+                            (DampedParams(0.0, 3.0, 1e308), [0.0, 0.005, 2.0], 1)):
+        k, kind, message = _first_error([lambda t=t: purity_closed(q, t) for t in times])
+        assert k == first
+        with pytest.raises(kind) as info:
+            _purities_closed(q, np.array(times))
+        assert str(info.value) == message
 
 
 def test_batch_crossing_the_vacuum_limit():

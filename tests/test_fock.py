@@ -197,7 +197,11 @@ def test_density_matrix_refuses_a_negative_cutoff():
                   lambda: state_from_amplitudes({(0, 0): 1.0}, -2),
                   lambda: state_from_amplitudes(np.zeros((0, 0)), -1),
                   lambda: two_mode_squeezed_state(0.5, -2),
-                  lambda: lossless_unitary(-1, CouplerParams(0.0, 1.0), 0.5)):
+                  lambda: lossless_unitary(-1, CouplerParams(0.0, 1.0), 0.5),
+                  # these once raised CapacityError("fock(0,0) needs cutoff >= 0, got -1")
+                  lambda: fock_state(0, 0, -1),
+                  lambda: noon_state(1, -1),
+                  lambda: make_pure_state(StateSpec("fock", (0, 0)), -1)):
         with pytest.raises(ValidationError, match="cutoff must be non-negative"):
             build()
 

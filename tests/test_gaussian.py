@@ -229,6 +229,16 @@ def test_simon_refuses_invariants_that_are_not_finite():
         simon_separable(huge)
 
 
+def test_symplectic_refuses_a_covariance_that_is_not_finite():
+    # both once read "symplectic invariants overflow a float (Delta nan)"
+    infinite = np.where(np.eye(4) > 0.0, math.inf, 0.0)
+    for cov, name in ((np.full((4, 4), math.nan), "det A nan"), (infinite, "det A inf")):
+        for measure in (symplectic_eigenvalues, log_negativity_gaussian):
+            with pytest.raises(NumericalError,
+                               match=f"symplectic invariants are not finite \\({name}\\)"):
+                measure(cov)
+
+
 def test_complex_covariance_is_refused():
     # the imaginary part was dropped under a ComplexWarning: (0.5, 0.5)
     with pytest.raises(ValidationError, match="a covariance is real"):
