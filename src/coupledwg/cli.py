@@ -35,7 +35,8 @@ from .fock import (
     fock_state,
     make_pure_state,
 )
-from .gaussian import _log_negativities_gaussian, _thermal_evolved_covariances
+from .gaussian import (_log_negativities_gaussian, _thermal_evolved_covariances,
+                       vacuum_evolved_covariance)
 from .lindblad import IntegratorConfig, compare, default_dt, integrate
 from .lossless import (
     CouplerParams,
@@ -376,9 +377,10 @@ def _damped_s(total: int, gamma: float):
 
 
 def _tmsv_vs_t(gamma: float):
-    # E_N of the r = 0.25 TMSV at J = 0.5 and nbar = 0 against t
+    # E_N of the r = 0.25 squeezed vacuum (nbar = 0) at J = 0.5 against t
     p = DampedParams(0.0, 0.5, gamma)
-    return lambda times: _tmsv_en(p, times, 0.0, 0.25)
+    return lambda times: _log_negativities_gaussian(
+        vacuum_evolved_covariance(p, times, 0.25, 0.25))
 
 
 def _tmsv_vs_nbar(r: float):

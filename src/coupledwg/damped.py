@@ -27,23 +27,17 @@ entries that rho holds (fock._Occupied), one row per k, over the block
 pairs that loss reaches from them (a NOON or Fock input of N photons has
 N + 1), and turned into the coupler eigenbasis.  A time grid is then a
 handful of stacked products on (times x entries) arrays: the tables
-weighted by gamma_-^k, the slot phases, and each block rotated back.  No
-dense (d^2 x d^2) product is done, and no Python loop runs over the times.
-Each chunk of the grid is checked for its trace deficit, renormalized and
-Hermitized on the compact layout.
-Drawn as states, each row of the layout, in row-major grid order without
-its exact zeros, is held by a TwoModeDensityMatrix as its occupied entries
-and validated one time at a time.  Drawn as measures (DampedStates.measures),
-the chunk is validated and measured on the layout itself: gather tables,
-built once per call by fock._sector_tables from the layout's grid positions,
-read the occupied sector blocks of all its states, and of their partial
-transposes, for fock._sector_eigvalsh, one stacked solve per block size; the
-layout's diagonal gives the reduced states.  Neither builds a dense state
-unless its spectrum needs a dense solve.  The grid is walked in chunks of
-_CHUNK_BYTES, so at most one chunk is alive however many times are asked for.
-The budget bounds memory only: each row's arithmetic is that of its time alone
-(a vector-matrix loss product per time, ordered sums, and the real or complex
-eigensolve chosen per matrix), so a row equals the one-time call bit for bit.
+weighted by gamma_-^k, the slot phases, and each block rotated back, with
+no dense (d^2 x d^2) product and no Python loop over the times.  Each chunk
+of the grid is checked for its trace deficit, renormalized and Hermitized on
+the compact layout.  Drawn as states, each row, in row-major grid order
+without its exact zeros, is held by a TwoModeDensityMatrix.  Drawn as
+measures (DampedStates.measures), a chunk is one stack on the layout for
+fock._measures, which every held state takes as a stack of one.  At most one
+chunk of _CHUNK_BYTES is alive however many times are asked for, and a row's
+arithmetic is that of its time alone (a vector-matrix loss product per time,
+ordered sums, the real or complex eigensolve chosen per matrix), so it
+equals the one-time call bit for bit.
 
 The closed forms take whole time grids as well: _damped_entropies is one
 binomial table per grid at effective angles taken with math per time, and
@@ -67,20 +61,13 @@ from .errors import NumericalError, TruncationError, ValidationError
 from .fock import (
     MeasureValue,
     TwoModeDensityMatrix,
+    _Layout,
+    _measures,
     _Occupied,
-    _checked_spectra,
-    _entropies,
     _entropy_bits,
     _gated,
-    _log_negativities,
     _ordered_sum,
-    _sector_eigvalsh,
-    _sector_tables,
     entropy_bits,
-    log_negativity,
-    purity,
-    reduced_state,
-    von_neumann_entropy,
 )
 from .lossless import (
     _CHUNK_BYTES,
@@ -96,10 +83,10 @@ from .lossless import (
 )
 
 TRACE_DEFICIT_LIMIT = 1e-10
-# a chunk of compact states, their time factors and the sector blocks
-# gathered from them takes up to _CHUNK_BYTES, about four dense states at
-# cutoff 10: the measures of a 101-point grid for NOON-10 take 6 chunks, and
-# one for an input of up to 4 photons.  No printed digit depends on the count.
+# a chunk of compact states, their time factors and what fock._measures
+# gathers from them takes up to _CHUNK_BYTES, four dense states at cutoff 10:
+# the measures of a 101-point grid for NOON-10 take 6 chunks, and one for an
+# input of up to 4 photons.  No printed digit depends on the count.
 
 
 @dataclass(frozen=True)
@@ -296,10 +283,7 @@ class _SectorTerms(NamedTuple):
 
     pairs: list            # (M, M', slice of the layout) per block pair
     lost: np.ndarray       # [k, entry]: k photons lost, coupler eigenbasis
-    rows: np.ndarray       # grid row and column of each entry
-    cols: np.ndarray
-    partner: np.ndarray    # the entry at the transposed grid position
-    diag: np.ndarray       # the entries on the grid diagonal
+    layout: _Layout        # every entry's transposed partner is laid out
 
 
 def _sector_terms(occupied: _Occupied, d: int) -> _SectorTerms:
@@ -317,7 +301,7 @@ def _sector_terms(occupied: _Occupied, d: int) -> _SectorTerms:
     lost = np.zeros((d, size), dtype=complex)
     np.add.at(lost, (k, start_of[row_total * d + col_total] + na * (col_total + 1) + ma),
               weighted)
-    layout = np.empty((3, size), dtype=int)
+    layout = np.empty((2, size), dtype=int)
     pairs = []
     for key, start, n in zip(keys.tolist(), starts.tolist(), sizes.tolist()):
         m, m2 = divmod(key, d)
@@ -325,11 +309,9 @@ def _sector_terms(occupied: _Occupied, d: int) -> _SectorTerms:
         vec, vec2 = _sector_eigensystem(m)[1], _sector_eigensystem(m2)[1]
         lost[:, sl] = (vec.T @ lost[:, sl].reshape(d, m + 1, m2 + 1) @ vec2).reshape(d, n)
         i, j = np.divmod(np.arange(n), m2 + 1)
-        layout[:, sl] = (i * d + m - i, j * d + m2 - j, start_of[m2 * d + m] + j * (m + 1) + i)
+        layout[:, sl] = (i * d + m - i, j * d + m2 - j)
         pairs.append((m, m2, sl))
-    grid_rows, grid_cols, partner = layout
-    diag = np.flatnonzero(grid_rows == grid_cols)
-    return _SectorTerms(pairs, lost, grid_rows, grid_cols, partner, diag)
+    return _SectorTerms(pairs, lost, _Layout(d, *layout))
 
 
 def _sector_stack(terms: _SectorTerms, p: DampedParams, cutoff: int,
@@ -371,10 +353,11 @@ def _propagate(rho: TwoModeDensityMatrix, terms: _SectorTerms, p: DampedParams,
     bounds memory only, since every row is reduced alone (fock._ordered_sum).
     The stack is freed before a chunk is handed on.  On a trace deficit the
     states before it come out first."""
-    step = max(1, _CHUNK_BYTES // (16 * (3 * terms.partner.size + rho.cutoff + 1 + gathered)))
+    layout = terms.layout
+    step = max(1, _CHUNK_BYTES // (16 * (3 * layout.partner.size + rho.cutoff + 1 + gathered)))
     for begin in range(0, times.size, step):
         stack = _sector_stack(terms, p, rho.cutoff, times[begin:begin + step])
-        trace = _ordered_sum(stack[:, terms.diag].real)
+        trace = _ordered_sum(stack[:, layout.diag].real)
         deficit = np.abs(trace - 1.0)
         bad = np.flatnonzero(deficit > TRACE_DEFICIT_LIMIT)
         error = None
@@ -384,7 +367,7 @@ def _propagate(rho: TwoModeDensityMatrix, terms: _SectorTerms, p: DampedParams,
                 f"{rho.cutoff}", tail_estimate=float(deficit[bad[0]]))
             stack, trace = stack[:bad[0]], trace[:bad[0]]
         stack /= trace[:, None]
-        states = stack[:, terms.partner]
+        states = stack[:, layout.partner]
         np.conjugate(states, out=states)
         states += stack
         states *= 0.5
@@ -395,53 +378,6 @@ def _propagate(rho: TwoModeDensityMatrix, terms: _SectorTerms, p: DampedParams,
             raise error
 
 
-class _MeasureTables(NamedTuple):
-    """Where the measures of a chunk read its rows, each padded with one 0
-    entry at its end that stands for every grid entry outside the layout:
-    per block size, the occupied sector blocks of rho(t) (n_a + n_b) and of
-    its partial transpose (n_a - n_b), and for the reduced state of mode a,
-    the terms rho((n, k), (n, k)) of its diagonal."""
-
-    blocks: list
-    transposed: list
-    reduced: np.ndarray    # [n, k]
-    gathered: int          # complex entries built per state
-
-
-def _measure_tables(terms: _SectorTerms, d: int) -> _MeasureTables | None:
-    """The t-independent gather tables of the chunk measures, or None when
-    rho(t) is not block-diagonal in n_a + n_b: its layout then holds a pair
-    (M, M') with M != M'."""
-    blocks = _sector_tables(terms.rows, terms.cols, d, 1, False)
-    if blocks is None:
-        return None
-    transposed = _sector_tables(terms.rows, terms.cols, d, -1, True)
-    pad = terms.partner.size
-    reduced = np.full((d, d), pad)
-    reduced.flat[terms.rows[terms.diag]] = terms.diag
-    # the padded row, the blocks, the reduced terms and the reduced states
-    gathered = pad + 1 + sum(t.size for t in blocks + transposed) + 2 * reduced.size
-    return _MeasureTables(blocks, transposed, reduced, gathered)
-
-
-def _chunk_measures(chunk: np.ndarray, terms: _SectorTerms, tables: _MeasureTables,
-                    d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E_N, the entropy S of mode a and the purity of each state of a chunk,
-    once every state has passed the TwoModeDensityMatrix gates (Hermiticity
-    against each entry's transposed partner, unit trace, eigenvalue floor;
-    NaN fails each) with the same errors."""
-    count = chunk.shape[0]
-    padded = np.concatenate((chunk, np.zeros((count, 1))), axis=1)
-    partner = chunk[:, terms.partner]
-    _checked_spectra(np.abs(chunk - partner.conj()).max(axis=1),
-                     _ordered_sum(chunk[:, terms.diag]),
-                     lambda k: _sector_eigvalsh((padded[:k, t] for t in tables.blocks), k))
-    en = _log_negativities(_sector_eigvalsh((padded[:, t] for t in tables.transposed), count))
-    sigma = np.zeros((count, d, d), dtype=complex)
-    sigma[:, np.arange(d), np.arange(d)] = _ordered_sum(padded[:, tables.reduced])
-    return en, _entropies(sigma), _gated("purity", _ordered_sum((chunk * partner).real))
-
-
 class DampedStates:
     """rho(t) over a 1-D array of times, built one chunk of the grid at a
     time as it is consumed, so memory does not grow with the number of times.
@@ -449,8 +385,9 @@ class DampedStates:
     Iterating gives the states in order, each a validated
     TwoModeDensityMatrix.  measures() gives instead the columns E_N, the
     entropy S of mode a and the purity over the whole grid, one chunk at a
-    time, straight from the compact layout: every state passes the same
-    gates, and no dense state is built unless rho mixes photon sectors."""
+    time, straight from the compact layout (fock._measures): every state
+    passes the same gates, and no dense state is built unless rho mixes
+    photon sectors."""
 
     def __init__(self, rho: TwoModeDensityMatrix, terms: _SectorTerms, p: DampedParams,
                  times: np.ndarray):
@@ -464,10 +401,10 @@ class DampedStates:
         return next(self._states)
 
     def _held_states(self) -> Iterator[TwoModeDensityMatrix]:
-        terms, cutoff = self._terms, self._rho.cutoff
-        order = np.argsort(terms.rows * (cutoff + 1) ** 2 + terms.cols)
-        rows, cols = terms.rows[order], terms.cols[order]
-        for chunk in _propagate(self._rho, terms, self._p, self._times):
+        layout, cutoff = self._terms.layout, self._rho.cutoff
+        order = np.argsort(layout.rows * (cutoff + 1) ** 2 + layout.cols)
+        rows, cols = layout.rows[order], layout.cols[order]
+        for chunk in _propagate(self._rho, self._terms, self._p, self._times):
             for row in chunk:
                 values = row[order]
                 keep = np.flatnonzero(values)
@@ -475,17 +412,9 @@ class DampedStates:
 
     def measures(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """One (E_N, S, purity) triple of arrays per chunk of the grid, in order."""
-        d = self._rho.cutoff + 1
-        tables = _measure_tables(self._terms, d)
-        if tables is None:  # rho(t) mixes photon sectors: measured state by state
-            for state in self._held_states():
-                yield tuple(np.array([float(value)]) for value in (
-                    log_negativity(state), von_neumann_entropy(reduced_state(state)),
-                    purity(state)))
-            return
-        for chunk in _propagate(self._rho, self._terms, self._p, self._times,
-                                tables.gathered):
-            yield _chunk_measures(chunk, self._terms, tables, d)
+        layout = self._terms.layout
+        for chunk in _propagate(self._rho, self._terms, self._p, self._times, layout.gathered):
+            yield _measures(chunk, layout)
 
 
 def evolve_damped_exact(rho: TwoModeDensityMatrix, p: DampedParams, t: float | np.ndarray

@@ -6,37 +6,30 @@ n_a + n_b <= cutoff so that photon-conserving (and photon-losing) dynamics stay
 exact on the grid.  All logarithms are base 2: entropies and logarithmic
 negativities are reported in bits.
 
-A TwoModeDensityMatrix holds its occupied entries (_Occupied), which its
-validation, reduced_state and purity read: a dense argument is scanned for
-them, from_pure takes them from the k nonzero amplitudes (k^2 products), and
-a state drawn from damped.py from its compact layout.  Neither of the last
-two builds its dense (d^2) x (d^2) entries before they are read.
+A TwoModeDensityMatrix holds its occupied entries (_Occupied): a dense
+argument is scanned for them, from_pure takes them from the k nonzero
+amplitudes (k^2 products), and a state drawn from damped.py from its compact
+layout, so that neither of the last two builds its dense (d^2) x (d^2) form.
 
-Density-matrix validation and the negativity solve eigenproblems sector by
-sector.  The coupler conserves n_a + n_b and loss keeps coherence offsets, so
-a Fock or NOON input stays block-diagonal in n_a + n_b; its partial transpose
-is then block-diagonal in n_a - n_b.  For the two-mode squeezed vacuum the
-roles swap.  _sector_eigvalsh solves only the occupied sectors, and sectors
-of equal size share one stacked eigvalsh call: a matrix takes at most d calls
-(d = cutoff + 1), of sizes 1 to d, at a cost of the sum of n^3 over its
-occupied sectors instead of d^6.  An all-zero sector, such as one above the
-capacity n_a + n_b <= cutoff, is not solved; its eigenvalues are 0.  One
-builder, _sector_tables, finds the blocks from where a matrix's entries sit:
-a state's occupied entries, or the compact layout of a chunk of propagated
-states (damped.py), which is solved in the same calls.  A matrix
-block-diagonal in neither labelling, such as a squeezed state after the
-coupler, falls back to one dense (d^2) x (d^2) solve, the only use of a
-held state's dense form in validation and the measures.
-
-The measures and their gates are written for stacks of states (log2(1 + 2N)
-from partial-transpose eigenvalues, reduced-state entropy, the MeasureValue
-range gate); the scalar public functions are the stack of one.
+The gates and the measures are written once, for a stack of matrices that
+share one _Layout, the grid positions of their entries: a held state, and a
+plain matrix read as its occupied entries, is the stack of one, and a chunk
+of damped states shares its layout.  Only purity keeps an einsum for a plain
+matrix, the RK4 oracle's side of a comparison.  The eigenproblems are solved
+sector by sector (_spectra).  The coupler conserves n_a + n_b and loss keeps
+coherence offsets, so a Fock or NOON input stays block-diagonal in n_a + n_b
+and its partial transpose in n_a - n_b; for the two-mode squeezed vacuum the
+roles swap.  A matrix then takes at most d eigvalsh calls (d = cutoff + 1),
+of sizes 1 to d, at a cost of the sum of n^3 over its occupied sectors
+instead of d^6.  A layout block-diagonal in neither labelling, such as a
+squeezed state after the coupler, is solved densely.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -182,26 +175,15 @@ class TwoModeDensityMatrix:
             object.__setattr__(self, "entries", ent)
             occupied = _support(ent, d)
         object.__setattr__(self, "_occupied", occupied)
-        rows, cols, values = occupied
-        herm = np.abs(values - _transposed_partners(*occupied, d).conj()).max(initial=0.0)
-        on = rows == cols
-        diagonal = np.zeros(d * d, dtype=complex)
-        diagonal[rows[on]] = values[on]
-        _checked_spectra(np.array([herm]), np.array([diagonal.sum()]),
-                         lambda _: _spectrum(self, d, support=occupied)[None])
+        object.__setattr__(self, "_layout", _Layout(d, occupied.rows, occupied.cols))
+        _checked(*_as_stack(self))
 
     def __getattr__(self, name):
         # only a state handed its occupied entries lacks entries, until read
         if name != "entries":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         rows, cols, values = self._occupied
-        d2 = (self.cutoff + 1) ** 2
-        try:
-            ent = np.zeros((d2, d2), dtype=complex)
-        except MemoryError:
-            raise NumericalError(f"the cutoff-{self.cutoff} density matrix ({d2}^2 "
-                                 "complex entries) does not fit in memory") from None
-        ent[rows, cols] = values
+        ent = _grid_matrices(values, rows, cols, self.cutoff + 1)
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
         return ent
@@ -304,17 +286,6 @@ def _sector_tables(rows: np.ndarray, cols: np.ndarray, d: int, sign: int,
     return [g.reshape(-1, n, n) for n, g in enumerate(groups) if g.size]
 
 
-def _sector_eigvalsh(groups: Iterable[np.ndarray], count: int) -> np.ndarray:
-    """Eigenvalues of count Hermitian matrices from their sector blocks.
-    groups gives one (count, sectors, n, n) stack per block size n, so the
-    sectors of one size share one eigvalsh call and none is padded.  Row k
-    lists matrix k's eigenvalues group by group.  Only occupied sectors are
-    passed: a sector left out is all zero, and its eigenvalues, all 0, are
-    not listed."""
-    return np.concatenate([np.zeros((count, 0))]
-                          + [_eigvalsh(g).reshape(count, -1) for g in groups], axis=1)
-
-
 def _support(ent: np.ndarray, d: int) -> _Occupied:
     """The occupied entries of a dense grid matrix."""
     flat = np.flatnonzero(ent != 0)
@@ -332,32 +303,104 @@ def _pure_support(psi: np.ndarray) -> _Occupied:
     return _Occupied(occupied[rows], occupied[cols], products[keep])
 
 
-def _transposed_partners(rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
-                         d: int) -> np.ndarray:
-    """For each entry of a support, the value at (cols, rows): 0 where that
-    entry is not occupied."""
-    flat = rows * (d * d) + cols
-    want = cols * (d * d) + rows
-    at = np.searchsorted(flat, want)
-    at[np.append(flat, -1)[at] != want] = flat.size
-    return np.append(values, 0)[at]
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Where a stack of grid matrices that share their occupied positions
+    holds its entries, one row of values per matrix: each entry's grid row
+    and column.  A held state's layout has one row; a chunk of damped states
+    shares one (damped._SectorTerms).  The rest is found on first read."""
+
+    d: int
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @cached_property
+    def partner(self) -> np.ndarray:
+        """Index of the entry at each entry's transposed grid position, or
+        rows.size (a 0 padded after the entries) where none is."""
+        d2 = self.d * self.d
+        flat, want = self.rows * d2 + self.cols, self.cols * d2 + self.rows
+        order = np.argsort(flat, kind="stable")
+        found = np.append(order, flat.size)[np.searchsorted(flat, want, sorter=order)]
+        found[np.append(flat, -1)[found] != want] = flat.size
+        return found
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        return np.flatnonzero(self.rows == self.cols)
+
+    def _tables(self, transposed: bool) -> list | None:
+        # _sector_tables in n_a + n_b, else in n_a - n_b (the partial
+        # transpose in the other labelling); None when neither holds
+        found = (_sector_tables(self.rows, self.cols, self.d, -sign if transposed else sign,
+                                transposed) for sign in (1, -1))
+        return next((tables for tables in found if tables is not None), None)
+
+    blocks = cached_property(lambda self: self._tables(False))
+    transposed = cached_property(lambda self: self._tables(True))
+
+    @cached_property
+    def gathered(self) -> int:
+        """Complex entries _measures builds per matrix: a padded copy, the
+        blocks of it and of its partial transpose (or two dense matrices
+        each), a reduced state and _entropies' residual of it."""
+        return self.rows.size + 1 + 2 * self.d ** 2 + sum(
+            2 * self.d ** 4 if t is None else sum(b.size for b in t)
+            for t in (self.blocks, self.transposed))
 
 
-def _spectrum(rho, d: int, transposed: bool = False, support=None) -> np.ndarray:
-    """Eigenvalues of a grid matrix rho, or of its partial transpose, in no
-    global order; those of an all-zero sector are left out.  support is rho's
-    _support, found from rho when not given.  When rho is block-diagonal in
-    n_a + n_b or n_a - n_b, the occupied blocks of rho, or of its partial
-    transpose in the other labelling, are gathered from the support for
-    _sector_eigvalsh; any other matrix takes one dense solve, which alone
-    reads rho's dense form (rho may be a TwoModeDensityMatrix)."""
-    rows, cols, values = _support(rho, d) if support is None else support
-    for sign in (1, -1):  # rho block-diagonal in n_a + n_b, then in n_a - n_b
-        tables = _sector_tables(rows, cols, d, -sign if transposed else sign, transposed)
-        if tables is not None:
-            padded = np.append(values, 0)
-            return _sector_eigvalsh((padded[t][None] for t in tables), 1)[0]
-    return _eigvalsh(partial_transpose(rho) if transposed else _as_entries(rho)[0])
+def _as_stack(rho) -> tuple[np.ndarray, _Layout]:
+    """rho's occupied entries, held or a plain matrix's _support, as a stack
+    of one, and their layout."""
+    if isinstance(rho, TwoModeDensityMatrix):
+        return rho._occupied.values[None], rho._layout
+    ent, d = _as_entries(rho)
+    rows, cols, values = _support(ent, d)
+    return values[None], _Layout(d, rows, cols)
+
+
+def _grid_matrices(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, d: int) -> np.ndarray:
+    """Dense grid matrices holding values (..., entries) at rows and cols."""
+    d2 = d * d
+    try:
+        out = np.zeros(values.shape[:-1] + (d2, d2), dtype=complex)
+    except MemoryError:
+        raise NumericalError(f"the cutoff-{d - 1} density matrix ({d2}^2 "
+                             "complex entries) does not fit in memory") from None
+    out[..., rows, cols] = values
+    return out
+
+
+def _padded(values: np.ndarray) -> np.ndarray:
+    """A stack (count, entries) with one 0 entry appended to each row."""
+    return np.concatenate((values, np.zeros((values.shape[0], 1))), axis=1)
+
+
+def _spectra(values: np.ndarray, layout: _Layout, transposed: bool = False) -> np.ndarray:
+    """Eigenvalues of each matrix of a stack (count, entries) on layout, or
+    of its partial transpose, one row each, in no global order.  With tables,
+    the occupied sector blocks of one size share one eigvalsh call and none
+    is padded; a sector no entry touches is all zero, and its eigenvalues,
+    all 0, are not listed.  Without, each matrix is built on the grid (and
+    transposed by partial_transpose) for one dense solve."""
+    tables = layout.transposed if transposed else layout.blocks
+    count = values.shape[0]
+    if tables is not None:
+        padded = _padded(values)
+        return np.concatenate([np.zeros((count, 0))] + [
+            _eigvalsh(np.take(padded, t, axis=1)).reshape(count, -1) for t in tables], axis=1)
+    dense = _grid_matrices(values, layout.rows, layout.cols, layout.d)
+    return _eigvalsh(np.array([partial_transpose(m) for m in dense]) if transposed else dense)
+
+
+def _checked(values: np.ndarray, layout: _Layout) -> None:
+    """The TwoModeDensityMatrix gates on each matrix of a stack (count,
+    entries) on layout: Hermiticity against each entry's transposed partner,
+    unit trace and the eigenvalue floor, with _checked_spectra's errors."""
+    partner = _padded(values)[:, layout.partner]
+    _checked_spectra(np.abs(values - partner.conj()).max(axis=1, initial=0.0),
+                     _ordered_sum(values[:, layout.diag]),
+                     lambda count: _spectra(values[:count], layout))
 
 
 def make_pure_state(spec: StateSpec, cutoff: int) -> TwoModePureState:
@@ -463,11 +506,8 @@ def _log_negativities(evals: np.ndarray) -> np.ndarray:
 
 def log_negativity(rho) -> MeasureValue:
     """log2(1 + 2 * negativity); zero exactly for PPT states."""
-    if isinstance(rho, TwoModeDensityMatrix):
-        evals = _spectrum(rho, rho.cutoff + 1, True, rho._occupied)
-    else:
-        evals = _spectrum(*_as_entries(rho), transposed=True)
-    value = _log_negativities(evals[None])[0]
+    values, layout = _as_stack(rho)
+    value = _log_negativities(_spectra(values, layout, True))[0]
     return MeasureValue("log_negativity", float(value))
 
 
@@ -485,24 +525,29 @@ def pure_log_negativity(state: TwoModePureState) -> MeasureValue:
     return MeasureValue("log_negativity", float(value))
 
 
-def reduced_state(rho, keep: str = "a") -> np.ndarray:
-    """Partial trace down to one mode; returns a (cutoff+1)^2-free dxd matrix.
-    A TwoModeDensityMatrix is traced over its occupied entries, each output
-    entry summed over the traced photon number in increasing order."""
-    if keep not in ("a", "b"):
-        raise ValidationError(f"keep must be 'a' or 'b', got {keep!r}")
-    if not isinstance(rho, TwoModeDensityMatrix):
-        ent, d = _as_entries(rho)
-        return np.einsum("aibi->ab" if keep == "a" else "iaib->ab", ent.reshape(d, d, d, d))
-    d = rho.cutoff + 1
-    rows, cols, values = rho._occupied
-    (na, nb), (ma, mb) = np.divmod(rows, d), np.divmod(cols, d)
+def _reduced_states(values: np.ndarray, layout: _Layout, keep: str = "a") -> np.ndarray:
+    """The reduced state of mode keep of each matrix of a stack (count,
+    entries) on layout, (count, d, d): each entry summed over the traced
+    photon number in layout order, which for a held state and a damped
+    layout is increasing."""
+    d = layout.d
+    (na, nb), (ma, mb) = np.divmod(layout.rows, d), np.divmod(layout.cols, d)
     if keep == "b":
         na, nb, ma, mb = nb, na, mb, ma
-    traced = nb == mb
-    sigma = np.zeros((d, d), dtype=complex)
-    np.add.at(sigma, (na[traced], ma[traced]), values[traced])
-    return sigma
+    traced = np.flatnonzero(nb == mb)
+    count = values.shape[0]
+    sigma = np.zeros(count * d * d, dtype=complex)
+    np.add.at(sigma, np.arange(0, sigma.size, d * d)[:, None] + (na * d + ma)[traced],
+              values[:, traced])
+    return sigma.reshape(count, d, d)
+
+
+def reduced_state(rho, keep: str = "a") -> np.ndarray:
+    """Partial trace down to one mode; returns a (cutoff+1)^2-free dxd matrix,
+    traced over rho's occupied entries (_reduced_states)."""
+    if keep not in ("a", "b"):
+        raise ValidationError(f"keep must be 'a' or 'b', got {keep!r}")
+    return _reduced_states(*_as_stack(rho), keep)[0]
 
 
 def _entropy_bits(weights: np.ndarray) -> np.ndarray:
@@ -550,14 +595,27 @@ def von_neumann_entropy(sigma: np.ndarray) -> MeasureValue:
     return MeasureValue("entropy", float(_entropies(mat[None])[0]))
 
 
+def _purities(values: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Tr(rho^2) = sum_ij rho_ij rho_ji of each matrix of a stack (count,
+    entries) on layout, summed in layout order, through the purity gate."""
+    products = values * _padded(values)[:, layout.partner]
+    return _gated("purity", _ordered_sum(products.real))
+
+
 def purity(rho) -> MeasureValue:
-    """Tr(rho^2) = sum_ij rho_ij rho_ji as a real number in (0, 1]; O(d^4)
-    for a d^2 x d^2 grid matrix, against O(d^6) for the product rho @ rho; a
-    TwoModeDensityMatrix sums over its occupied entries only."""
+    """Tr(rho^2) = sum_ij rho_ij rho_ji as a real number in (0, 1]: over its
+    occupied entries for a TwoModeDensityMatrix (_purities), and as one
+    einsum over a plain grid matrix, O(d^4) against O(d^6) for rho @ rho."""
     if isinstance(rho, TwoModeDensityMatrix):
-        rows, cols, values = rho._occupied
-        val = float((values * _transposed_partners(rows, cols, values, rho.cutoff + 1)).sum().real)
-    else:
-        ent, _ = _as_entries(rho)
-        val = float(np.einsum("ij,ji->", ent, ent).real)
-    return MeasureValue("purity", val)
+        return MeasureValue("purity", float(_purities(*_as_stack(rho))[0]))
+    ent, _ = _as_entries(rho)
+    return MeasureValue("purity", float(np.einsum("ij,ji->", ent, ent).real))
+
+
+def _measures(values: np.ndarray, layout: _Layout) -> tuple:
+    """E_N, the entropy S of mode a and the purity of each matrix of a stack
+    (count, entries) on layout, once every matrix has passed the gates of a
+    TwoModeDensityMatrix (_checked), whose measures take the same steps."""
+    _checked(values, layout)
+    return (_log_negativities(_spectra(values, layout, True)),
+            _entropies(_reduced_states(values, layout)), _purities(values, layout))

@@ -25,8 +25,7 @@ discriminant, the roots and log2 stay math's, per point (_symplectic_spectra,
 _log_negativities_gaussian).  thermal_evolved_covariance,
 symplectic_eigenvalues and log_negativity_gaussian are the one-point calls of
 these column forms, so a column equals the point calls bit for bit.  A
-failing grid raises the error of its first failing point, except that the
-covariances check every point's occupations before any point's t and r.
+failing grid raises the error of its first failing point.
 """
 
 from __future__ import annotations
@@ -186,6 +185,18 @@ def _points(*values) -> list:
     return [v.tolist() for v in np.broadcast_arrays(*(np.reshape(v, -1) for v in values))]
 
 
+def _vacuum_point(p: DampedParams, t: float, r1: float, r2: float) -> tuple:
+    """One checked point of vacuum_evolved_covariance: e^{-2 gamma t} and 4 V's terms."""
+    for name, val in (("t", t), ("r1", r1), ("r2", r2)):
+        if not math.isfinite(val):
+            raise ValidationError(f"{name} must be finite, got {val}")
+    if t < 0.0:
+        raise ValidationError(f"t must be >= 0, got {t}")
+    decay = math.exp(-2.0 * p.gamma * t)
+    (ch1, sh1), (ch2, sh2) = _cosh_sinh_2r(r1), _cosh_sinh_2r(r2)
+    return decay, decay * (ch1 + ch2) + 2.0 * (1.0 - decay), decay * (sh1 + sh2)
+
+
 def vacuum_evolved_covariance(p: DampedParams, t, r1, r2) -> np.ndarray:
     """Curve-family covariance of an input squeezed along both normal-mode
     branches after time t of loss: the squeezed part decays as
@@ -195,46 +206,44 @@ def vacuum_evolved_covariance(p: DampedParams, t, r1, r2) -> np.ndarray:
     Numbers give one 4x4 matrix.  If any of t, r1 and r2 is a 1-D array,
     they are broadcast together and give an (n, 4, 4) stack, each point's
     scalars math's and checked in turn, so the first failing point raises."""
-    terms = []
-    for t_k, r1_k, r2_k in zip(*_points(t, r1, r2)):
-        for name, val in (("t", t_k), ("r1", r1_k), ("r2", r2_k)):
-            if not math.isfinite(val):
-                raise ValidationError(f"{name} must be finite, got {val}")
-        if t_k < 0.0:
-            raise ValidationError(f"t must be >= 0, got {t_k}")
-        decay = math.exp(-2.0 * p.gamma * t_k)
-        (ch1, sh1), (ch2, sh2) = _cosh_sinh_2r(r1_k), _cosh_sinh_2r(r2_k)
-        terms.append((decay * (ch1 + ch2) + 2.0 * (1.0 - decay), decay * (sh1 + sh2)))
+    terms = [_vacuum_point(p, *point)[1:] for point in zip(*_points(t, r1, r2))]
     press, shear = np.array(terms).reshape(-1, 2).T
     stack = 0.25 * _quadrature_stack(press, press, shear, shear)
     return stack if max(map(np.ndim, (t, r1, r2))) else stack[0]
 
 
+# the occupation terms of 2 V beyond the vacuum's, each times e^{-2 gamma t}
+_OCCUPATION_TERMS = ("n1 cosh^2 r1 + n2 sinh^2 r1", "n1 sinh^2 r2 + n2 cosh^2 r2",
+                     "(n1 + n2) sinh(2 r1) / 2", "(n1 + n2) sinh(2 r2) / 2")
+
+
 def _thermal_evolved_covariances(p: DampedParams, t, n1, n2, r1, r2) -> np.ndarray:
     """thermal_evolved_covariance at each point of t, n1, n2, r1 and r2, each
     a number or a 1-D array, broadcast together: an (n, 4, 4) stack.  Each
-    point's scalars are math's; the occupations are checked first, then
-    vacuum_evolved_covariance's checks, each raising at its first failing
-    point."""
-    t, n1, n2, r1, r2 = _points(t, n1, n2, r1, r2)
-    for pair in zip(n1, n2):
-        for name, val in zip(("n1", "n2"), pair):
+    point's scalars are math's, and its n1, n2, t, r1 and r2 are checked in
+    turn, so the first failing point raises; an occupation term that
+    overflows a float raises NumericalError, naming it."""
+    terms = []
+    for t_k, n1_k, n2_k, r1_k, r2_k in zip(*_points(t, n1, n2, r1, r2)):
+        for name, val in (("n1", n1_k), ("n2", n2_k)):
             if not (math.isfinite(val) and val >= 0.0):
                 raise ValidationError(f"{name} must be finite and >= 0, got {val}")
-    # first, so that its overflow check on cosh(2r) > cosh(r)^2 covers c, d, e, f
-    vacuum = vacuum_evolved_covariance(p, np.array(t), r1, r2)
-    terms = []
-    for t_k, n1_k, n2_k, r1_k, r2_k in zip(t, n1, n2, r1, r2):
-        decay = math.exp(-2.0 * p.gamma * t_k)
+        # first, so that its overflow check on cosh(2r) > cosh(r)^2 covers the terms
+        decay, press, shear = _vacuum_point(p, t_k, r1_k, r2_k)
         # the mean occupation halves each term before the sum, which rounds as
         # 0.5 * (n1 + n2) does but stays finite where n1 + n2 overflows
         mean = 0.5 * n1_k + 0.5 * n2_k
-        terms.append((decay * (n1_k * math.cosh(r1_k) ** 2 + n2_k * math.sinh(r1_k) ** 2),
-                      decay * (n1_k * math.sinh(r2_k) ** 2 + n2_k * math.cosh(r2_k) ** 2),
-                      decay * mean * math.sinh(2.0 * r1_k),
-                      decay * mean * math.sinh(2.0 * r2_k)))
-    c, d, e, f = np.array(terms).reshape(-1, 4).T
-    return vacuum + 0.5 * _quadrature_stack(c, d, e, f)
+        point = (decay * (n1_k * math.cosh(r1_k) ** 2 + n2_k * math.sinh(r1_k) ** 2),
+                 decay * (n1_k * math.sinh(r2_k) ** 2 + n2_k * math.cosh(r2_k) ** 2),
+                 decay * mean * math.sinh(2.0 * r1_k), decay * mean * math.sinh(2.0 * r2_k))
+        for name, val in zip(_OCCUPATION_TERMS, point):
+            if not math.isfinite(val):  # NaN where the decay 0 meets an inf
+                raise NumericalError(f"occupation term {name} overflows a float "
+                                     f"at n1 = {n1_k:g}, n2 = {n2_k:g}")
+        terms.append((press, shear) + point)
+    press, shear, c, d, e, f = np.array(terms).reshape(-1, 6).T
+    return (0.25 * _quadrature_stack(press, press, shear, shear)
+            + 0.5 * _quadrature_stack(c, d, e, f))
 
 
 def thermal_evolved_covariance(p: DampedParams, t: float, n1: float, n2: float,

@@ -22,14 +22,14 @@ beside it) and the worst is printed.
 import numpy as np
 import pytest
 
-import coupledwg.damped as damped
 from coupledwg.damped import DampedParams, evolve_damped_exact
-from coupledwg.fock import TwoModeDensityMatrix, fock_state, noon_state, state_from_amplitudes
+from coupledwg.fock import (TwoModeDensityMatrix, fock_state, log_negativity, noon_state, purity,
+                            reduced_state, state_from_amplitudes, von_neumann_entropy)
 from coupledwg.lindblad import liouvillian_apply
 from coupledwg.lossless import evolve_lossless_dm
 
 # (|0,0> + |1,1>)/sqrt(2) couples the photon sectors 0 and 2: its layout has
-# off-diagonal block pairs, and measures() takes the per-state route for it
+# off-diagonal block pairs, and measures() solves its states densely
 MIXED = {(0, 0): 1.0, (1, 1): 1.0}
 INPUTS = {"fock:1,1": fock_state(1, 1, 2), "noon:3": noon_state(3, 3),
           "fock:2,3": fock_state(2, 3, 5), "noon:5": noon_state(5, 5),
@@ -53,11 +53,19 @@ def _swapped(ent, d):
     return ent.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
 
 
-def test_mixed_input_takes_the_per_state_route():
+def test_mixed_input_takes_the_dense_solve():
     rho = _rho(INPUTS["mixed"])
-    states = evolve_damped_exact(rho, PARAMS[1], np.array([0.0, 1.0]))
-    assert damped._measure_tables(states._terms, rho.cutoff + 1) is None
-    assert np.concatenate(list(states.measures()), axis=1).shape == (3, 2)
+    times = np.array([0.0, 1.0])
+    states = evolve_damped_exact(rho, PARAMS[1], times)
+    layout = states._terms.layout
+    assert layout.blocks is None and layout.transposed is None
+    en, entropy, pure = np.concatenate(list(states.measures()), axis=1)
+    held = list(evolve_damped_exact(rho, PARAMS[1], times))
+    assert np.array_equal(en, [float(log_negativity(state)) for state in held])
+    assert np.array_equal(entropy, [float(von_neumann_entropy(reduced_state(state)))
+                                    for state in held])
+    # a held state sums its entries row-major, a chunk in block-pair order
+    assert np.allclose(pure, [float(purity(state)) for state in held], rtol=0.0, atol=1e-14)
 
 
 def test_generator_matches_the_lindblad_right_hand_side():

@@ -99,6 +99,10 @@ def test_fuzzed_argvs_end_in_documented_exits(tmp_path, capsys):
     pytest.param("gaussian --r 200 --steps 3", EXIT_NUMERICAL,
                  "numerical failure: symplectic invariants overflow a float (Delta inf)",
                  id="r-200"),
+    # every input is finite, but n1 cosh^2 r1 overflows
+    pytest.param("gaussian --nbar 1e308 --r 1 --steps 3", EXIT_NUMERICAL,
+                 "numerical failure: occupation term n1 cosh^2 r1 + n2 sinh^2 r1 overflows "
+                 "a float at n1 = 1e+308, n2 = 1e+308", id="nbar-1e308-r-1"),
     # theta underflows at t > 0, and so does J t in the first column
     pytest.param("purity --J 1e-12 --tmax 5e-324", EXIT_NUMERICAL,
                  "numerical failure: first CSV column must be finite and strictly increasing",

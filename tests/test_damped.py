@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import coupledwg.damped as damped
+import coupledwg.fock as fock
 import coupledwg.lossless as lossless
 from coupledwg.damped import (
     _PURITY_VARIANTS,
@@ -390,6 +391,18 @@ def test_closed_form_columns_raise_the_first_failing_points_error():
             _log_negativities_gaussian(_thermal_evolved_covariances(
                 p, 1.0, np.array(nbars), np.array(nbars), 0.25, 0.25))
         assert str(info.value) == message
+    # each point's n1, n2, t, r1 and r2 in turn: a bad t at point 0 comes
+    # before a bad occupation at point 1; at r = 1 an occupation of 1e308
+    # overflows its term at point 2
+    for t, n1, r, first in (([-1.0, 1.0], [0.0, -1.0], 0.25, 0),
+                            ([1.0, 1.0, 1.0], [0.0, 1.0, 1e308], 1.0, 2)):
+        k, kind, message = _first_error(
+            [lambda t_k=t_k, n_k=n_k: thermal_evolved_covariance(p, t_k, n_k, 0.0, r, r)
+             for t_k, n_k in zip(t, n1)])
+        assert k == first
+        with pytest.raises(kind) as info:
+            _thermal_evolved_covariances(p, np.array(t), np.array(n1), 0.0, r, r)
+        assert str(info.value) == message
     # theta overflows from J t = 2e308 on; at gamma = 1e308 the purity is NaN
     # (refused by its gate) from the first t > 0, and theta overflows later
     for q, times, first in ((DampedParams(0.0, 1e307, 0.05), [0.0, 1.0, 5.0, 20.0, 50.0], 3),
@@ -531,8 +544,11 @@ def test_measures_match_per_state_route(gamma):
         chunks = list(evolve_damped_exact(rho, p, times).measures())
         columns = np.concatenate(chunks, axis=1)
         assert columns.shape == (3, times.size)
-        for got, want in zip(columns, _per_state_columns(rho, p, times)):
-            assert np.all(np.abs(got - want) <= 1e-12 + 1e-9 * np.abs(want)), (state, gamma)
+        # E_N and S take the same solves; the purity sums a held state's
+        # entries row-major and a chunk's in block-pair order
+        en, entropy, pure = _per_state_columns(rho, p, times)
+        assert np.array_equal(columns[0], en) and np.array_equal(columns[1], entropy), (state, gamma)
+        assert np.all(np.abs(columns[2] - pure) <= 1e-12 + 1e-9 * np.abs(pure)), (state, gamma)
         if gamma == 1e300:  # the vacuum after t = 0
             assert np.array_equal(columns[:, 1:], np.tile([[0.0], [0.0], [1.0]], 12))
 
@@ -543,47 +559,52 @@ def _message_shape(exc):
 
 def test_measure_gates_fire_for_one_bad_state(monkeypatch):
     # each corruption of one state of a chunk trips the gate that single-state
-    # validation trips, with the same error
-    rho = TwoModeDensityMatrix.from_pure(noon_state(2, 2))
-    d = rho.cutoff + 1
+    # validation trips, with the same error; the sector-mixing input takes
+    # the dense solve
     p = DampedParams(0.3, 0.7, 0.05)
     times = np.linspace(0.0, 3.0, 7)
-    terms = evolve_damped_exact(rho, p, times)._terms
-    tables = damped._measure_tables(terms, d)
-    (chunk,) = damped._propagate(rho, terms, p, times, tables.gathered)
-    off = np.flatnonzero(terms.rows != terms.cols)[0]
+    mixed = state_from_amplitudes({(0, 0): 1.0, (1, 2): 0.5j, (2, 0): -0.3}, 3)
+    for state in (noon_state(2, 2), mixed):
+        rho = TwoModeDensityMatrix.from_pure(state)
+        d = rho.cutoff + 1
+        terms = evolve_damped_exact(rho, p, times)._terms
+        layout = terms.layout
+        assert (layout.blocks is None) == (state is mixed)
+        (chunk,) = damped._propagate(rho, terms, p, times, layout.gathered)
+        off = np.flatnonzero(layout.rows != layout.cols)[0]
 
-    def herm(row):
-        row[off] += 1e-9
+        def herm(row):
+            row[off] += 1e-9
 
-    def trace(row):
-        row *= 1.001
+        def trace(row):
+            row *= 1.001
 
-    def floor(row):  # Hermitian with unit trace, but the vacuum population is -0.2
-        shift = 0.2 + row[terms.diag[0]].real
-        row[terms.diag[0]] -= shift
-        row[terms.diag[-1]] += shift
+        def floor(row):  # Hermitian with unit trace, but the vacuum population is -0.2
+            shift = 0.2 + row[layout.diag[0]].real
+            row[layout.diag[0]] -= shift
+            row[layout.diag[-1]] += shift
 
-    def nan(row):
-        row[off] = np.nan
+        def nan(row):
+            row[off] = np.nan
 
-    for corrupt, gate in ((herm, "Hermiticity"), (trace, "trace"),
-                          (floor, "eigenvalue"), (nan, "Hermiticity")):
+        for corrupt, gate in ((herm, "Hermiticity"), (trace, "trace"),
+                              (floor, "eigenvalue"), (nan, "Hermiticity")):
+            bad = chunk.copy()
+            corrupt(bad[3])
+            dense = np.zeros((d * d, d * d), dtype=complex)
+            dense[layout.rows, layout.cols] = bad[3]
+            with pytest.raises(ValidationError, match=gate) as single:
+                TwoModeDensityMatrix(rho.cutoff, dense)
+            with pytest.raises(ValidationError) as batch:
+                fock._measures(bad, layout)
+            assert _message_shape(batch.value) == _message_shape(single.value)
+        # the first bad state in time decides, whichever gate it fails
         bad = chunk.copy()
-        corrupt(bad[3])
-        dense = np.zeros((d * d, d * d), dtype=complex)
-        dense[terms.rows, terms.cols] = bad[3]
-        with pytest.raises(ValidationError, match=gate) as single:
-            TwoModeDensityMatrix(rho.cutoff, dense)
-        with pytest.raises(ValidationError) as batch:
-            damped._chunk_measures(bad, terms, tables, d)
-        assert _message_shape(batch.value) == _message_shape(single.value)
-    # the first bad state in time decides, whichever gate it fails
-    bad = chunk.copy()
-    trace(bad[2])
-    herm(bad[4])
-    with pytest.raises(ValidationError, match="trace"):
-        damped._chunk_measures(bad, terms, tables, d)
+        trace(bad[2])
+        herm(bad[4])
+        with pytest.raises(ValidationError, match="trace"):
+            fock._measures(bad, layout)
+    rho = TwoModeDensityMatrix.from_pure(noon_state(2, 2))
     # a trace deficit at one time of the chunk
     monkeypatch.setattr(damped, "loss_channel_factors", _heating_where(lambda t: t == 1.5))
     with pytest.raises(TruncationError) as single:
