@@ -8,6 +8,15 @@ applied as two dense products over operators stacked once per system:
 [-i H_eff; s a; s b] rho, then [rho, s a rho, s b rho] [i H_eff^dag; s a^T; s b^T]
 with s = sqrt(2 gamma).  It is independent of the closed forms so it can
 arbitrate them, and it keeps only the sampled states.
+
+The generator does not depend on time, so an RK4 step of size h is one fixed
+linear map of rho: the stability polynomial 1 + z + z^2/2 + z^3/6 + z^4/24
+at z = hL (Hairer & Wanner, Solving ODEs II, IV.2).  On a grid of at most
+256 entries (cutoff 3) integrate tabulates it as a (d^4, d^4) matrix, built
+by stepping the basis matrices with _rk4_step, for each h that serves at
+least as many steps as rho has entries (the build costs about one step per
+basis matrix); each of that h's steps is then one matrix-vector product.
+Every other h and grid marches _rk4_step, the only RK4 formula.
 """
 
 from __future__ import annotations
@@ -26,9 +35,14 @@ from .fock import TwoModeDensityMatrix, _as_entries, log_negativity, purity, \
 
 SAMPLE_TRACE_TOL = 1e-9
 SAMPLE_EIG_FLOOR = -1e-9
-# 0.21 ms a step at cutoff 4 on one BLAS thread of a 2-core x86 host, so
-# about 3.5 minutes; the workloads take a few thousand
+# a step of integrate on one BLAS thread of a 2-core x86 host takes 3.6, 6.0
+# and 21 us tabulated at cutoffs 1-3 (47, 51 and 70 us marched) and 130 us
+# marched at cutoff 4, so 10^6 steps take about 21 s at cutoff 3 and about
+# 2 minutes at cutoff 4; the workloads take a few thousand
 MAX_RK4_STEPS = 10 ** 6
+# the largest rho, in entries, whose RK4 step integrate tabulates: cutoff 3,
+# a table of 1 MiB
+_TABLE_ENTRIES = 256
 
 
 def default_dt(p: DampedParams) -> float:
@@ -72,11 +86,13 @@ def _system_operators(cutoff: int, omega: float, coupling: float, gamma: float):
 
 
 def liouvillian_apply(rho_mat: np.ndarray, cutoff: int, p: DampedParams) -> np.ndarray:
-    """Right-hand side of the master equation, in the Lindblad form above."""
+    """Right-hand side of the master equation, in the Lindblad form above, of
+    one grid matrix or of each matrix of a stack (..., d^2, d^2)."""
     left, right = _system_operators(cutoff, p.omega, p.J, p.gamma)
-    n = rho_mat.shape[0]
+    n = rho_mat.shape[-1]
     z = left @ rho_mat
-    return z[:n] + np.concatenate([rho_mat, z[n:2 * n], z[2 * n:]], axis=1) @ right
+    return z[..., :n, :] + np.concatenate(
+        [rho_mat, z[..., n:2 * n, :], z[..., 2 * n:, :]], axis=-1) @ right
 
 
 def _rk4_step(rho_mat: np.ndarray, cutoff: int, p: DampedParams, h: float) -> np.ndarray:
@@ -85,6 +101,21 @@ def _rk4_step(rho_mat: np.ndarray, cutoff: int, p: DampedParams, h: float) -> np
     k3 = liouvillian_apply(rho_mat + 0.5 * h * k2, cutoff, p)
     k4 = liouvillian_apply(rho_mat + h * k3, cutoff, p)
     return rho_mat + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _step_table(cutoff: int, p: DampedParams, h: float) -> np.ndarray:
+    """The RK4 step at h as one (d^4, d^4) matrix P, vec(step(rho)) =
+    P @ rho.ravel(): column j is _rk4_step of the j-th basis matrix, stepped
+    one grid row of basis matrices at a time."""
+    n = (cutoff + 1) ** 2
+    images = np.empty((n * n, n * n), dtype=complex)
+    basis = np.zeros((n, n, n), dtype=complex)
+    cols = np.arange(n)
+    for row in range(n):
+        basis[cols, row, cols] = 1.0
+        images[row * n:(row + 1) * n] = _rk4_step(basis, cutoff, p, h).reshape(n, n * n)
+        basis[cols, row, cols] = 0.0
+    return images.T
 
 
 @dataclass(frozen=True)
@@ -113,6 +144,9 @@ def integrate(rho0: TwoModeDensityMatrix, p: DampedParams, config: IntegratorCon
     substeps.  The state is re-Hermitized after every step (roundoff hygiene)
     but the trace is never rescaled, so trace drift is a genuine error signal:
     every sample is checked for |trace - 1| <= 1e-9 and eigenvalues >= -1e-9.
+    Up to cutoff 3, an h that serves at least d^4 steps of the call steps
+    through its table (module docstring), built on its first interval and
+    dropped after its last; no table outlives the call.
     """
     if sample_times is None:
         times = np.linspace(0.0, config.t_max, 21)
@@ -124,25 +158,42 @@ def integrate(rho0: TwoModeDensityMatrix, p: DampedParams, config: IntegratorCon
             raise ValidationError("sample_times must be non-negative and strictly increasing")
         if times[-1] > config.t_max * (1.0 + 1e-12) + 1e-15:
             raise ValidationError("sample_times reach beyond t_max")
-    rho = rho0.entries
-    samples = []
-    worst_drift = 0.0
-    worst_eig = np.inf
-    steps_taken = 0
+    # each interval's (substeps, h), the steps each h serves and the last
+    # interval that uses it
+    plan, served, last_use = [], {}, {}
     t_now = 0.0
-    for target in times:
+    for i, target in enumerate(times):
+        nsteps, h = 0, 0.0
         span = float(target) - t_now
         if span > 1e-15:
             nsteps = max(1, math.ceil(span / config.dt - 1e-12))
             h = span / nsteps
-            # a step far above the stable one overflows to a non-finite
-            # state, which the trace gate below refuses
-            with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(nsteps):
-                    rho = _rk4_step(rho, rho0.cutoff, p, h)
-                    rho = 0.5 * (rho + rho.conj().T)
-            steps_taken += nsteps
+            served[h] = served.get(h, 0) + nsteps
+            last_use[h] = i
             t_now = float(target)
+        plan.append((nsteps, h))
+    rho = rho0.entries
+    n = rho.shape[0]
+    tables = {}
+    samples = []
+    worst_drift = 0.0
+    worst_eig = np.inf
+    steps_taken = 0
+    for i, (target, (nsteps, h)) in enumerate(zip(times, plan)):
+        # a step far above the stable one overflows to a non-finite state,
+        # which the trace gate below refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n * n <= _TABLE_ENTRIES and served.get(h, 0) >= n * n:
+                if h not in tables:
+                    tables[h] = _step_table(rho0.cutoff, p, h)
+                table = tables[h] if last_use[h] > i else tables.pop(h)
+                step = lambda rho: (table @ rho.ravel()).reshape(n, n)
+            else:
+                step = lambda rho: _rk4_step(rho, rho0.cutoff, p, h)
+            for _ in range(nsteps):
+                rho = step(rho)
+                rho = 0.5 * (rho + rho.conj().T)
+        steps_taken += nsteps
         drift = abs(float(np.trace(rho).real) - 1.0)
         worst_drift = max(worst_drift, drift)
         if not drift <= SAMPLE_TRACE_TOL:  # written so that NaN fails too
@@ -193,21 +244,25 @@ class DeviationReport:
 
 def compare(closed_states: Iterable, oracle: Trajectory) -> DeviationReport:
     """Line up closed-form states against oracle samples (same grid, same
-    number of points) and report elementwise and measure-level deviations."""
-    closed = [_as_entries(state)[0] for state in closed_states]
+    number of points) and report elementwise and measure-level deviations.
+    A closed-form state's measures read it as given, so a held state's
+    occupied entries; its dense entries serve the elementwise gap and the
+    trace distance."""
+    closed = list(closed_states)
     if len(closed) != len(oracle.states):
         raise ValidationError(
             f"{len(closed)} closed-form states vs {len(oracle.states)} samples")
     max_abs, tdist, ds, de, dp = [], [], [], [], []
-    for ours, ref in zip(closed, oracle.states):
+    for state, ref in zip(closed, oracle.states):
+        ours = _as_entries(state)[0]
         if ours.shape != ref.shape:
             raise ValidationError(f"grid mismatch: {ours.shape} vs {ref.shape}")
         max_abs.append(float(np.abs(ours - ref).max()))
         tdist.append(trace_distance(ours, ref))
-        ds.append(float(von_neumann_entropy(reduced_state(ours)))
+        ds.append(float(von_neumann_entropy(reduced_state(state)))
                   - float(von_neumann_entropy(reduced_state(ref))))
-        de.append(float(log_negativity(ours)) - float(log_negativity(ref)))
-        dp.append(float(purity(ours)) - float(purity(ref)))
+        de.append(float(log_negativity(state)) - float(log_negativity(ref)))
+        dp.append(float(purity(state)) - float(purity(ref)))
     return DeviationReport(times=oracle.times.copy(),
                            max_abs_entry=np.asarray(max_abs),
                            trace_distances=np.asarray(tdist),

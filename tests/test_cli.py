@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coupledwg import cli, damped, lossless
+from coupledwg import cli, damped, lindblad, lossless
 from coupledwg.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -115,6 +115,20 @@ def test_compare_numerical_failure_exit(tmp_path, capsys):
                  "-o", str(tmp_path / "x.csv")])
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table_entries", [lindblad._TABLE_ENTRIES, 0])
+def test_compare_pins_a_documented_oracle_failure(table_entries, monkeypatch, tmp_path, capsys):
+    # one of the benchmark's documented oracle failures: at half the default
+    # dt the RK4 error crosses the -1e-9 positivity floor.  Tabulated (cutoff
+    # 2) and marched, the oracle must fail at the same sample with the same
+    # eigenvalue; catches a table path that drifts from the march
+    monkeypatch.setattr(lindblad, "_TABLE_ENTRIES", table_entries)
+    code = main(["compare", "--input", "fock:2,0", "--J", "0.8125", "--gamma", "0.0166667",
+                 "--tmax", "10", "--steps", "20", "-o", str(tmp_path / "x.csv")])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == ("numerical failure: eigenvalue -1.002e-09 at t=4; "
+                                       "reduce dt or raise the cutoff\n")
 
 
 def test_compare_dump_states(tmp_path):

@@ -97,6 +97,85 @@ def test_trajectory_matches_reference_apply(monkeypatch):
                            - reference.diagnostics["min_eigenvalue"]) <= 1e-13
 
 
+# compare's grid (t_max 10, 20 samples, half the default dt: one h, up to 13
+# in its last bits) and an irregular one whose step sizes 2^-8 (in the first
+# and third intervals), 0.2998046875/77 and 0.7001953125/180 serve 512, 77
+# and 180 steps: cutoff 3 tabulates the first alone, cutoff 2 the first and
+# the last, cutoff 1 all three
+STEP_GRIDS = ((0.005, np.linspace(0.0, 10.0, 21)),
+              (2.0 ** -8, [0.0, 1.0, 1.2998046875, 2.2998046875, 3.0]))
+
+
+def test_tabulated_step_matches_marching(monkeypatch):
+    # catches a table path that drops the re-Hermitization (a sample is then
+    # not exactly Hermitian), steps with a transposed table, or takes another
+    # h's table; a size constant of 0 marches every step
+    for cutoff in (1, 2, 3):
+        for state in (fock_state(1, cutoff - 1, cutoff), noon_state(cutoff, cutoff)):
+            for gamma in (0.0, 0.04):
+                p = DampedParams(0.3, 0.3, gamma)
+                for dt, times in STEP_GRIDS:
+                    cfg = IntegratorConfig(dt=dt, t_max=float(times[-1]))
+                    tabulated = integrate(dm(state), p, cfg, sample_times=times)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(lindblad, "_TABLE_ENTRIES", 0)
+                        marched = integrate(dm(state), p, cfg, sample_times=times)
+                    for ours, ref in zip(tabulated.states, marched.states):
+                        assert np.array_equal(ours, ours.conj().T), (cutoff, gamma, dt)
+                        assert np.abs(ours - ref).max() <= 1e-12, (cutoff, gamma, dt)
+                    assert abs(tabulated.diagnostics["min_eigenvalue"]
+                               - marched.diagnostics["min_eigenvalue"]) <= 1e-13
+                    assert (tabulated.diagnostics["rk4_steps"]
+                            == marched.diagnostics["rk4_steps"])
+
+
+def test_step_path_follows_the_grid_size(monkeypatch):
+    # a table costs 4 applies per grid row of basis matrices, whatever the
+    # step count; catches a table for an h that serves fewer steps than rho
+    # has entries, a table above cutoff 3, and a table rebuilt for an h that
+    # comes back after another interval
+    shapes = []
+    apply = lindblad.liouvillian_apply
+
+    def counted(rho_mat, cutoff, p):
+        shapes.append(rho_mat.shape)
+        return apply(rho_mat, cutoff, p)
+
+    monkeypatch.setattr(lindblad, "liouvillian_apply", counted)
+    p = DampedParams(0.0, 0.8, 0.04)
+
+    def applies(cutoff, times, dt=2.0 ** -8):
+        shapes.clear()
+        integrate(dm(fock_state(1, 0, cutoff)), p,
+                  IntegratorConfig(dt=dt, t_max=float(times[-1])), sample_times=times)
+        return len(shapes)
+
+    for cutoff in (1, 2, 3):
+        n = (cutoff + 1) ** 2
+        for t_max in (1.0, 3.0):  # 256 and 768 steps
+            assert applies(cutoff, [t_max]) == 4 * n
+            assert set(shapes) == {(n, n, n)}
+    assert applies(3, [255.0 / 256.0]) == 4 * 255
+    assert set(shapes) == {(16, 16)}
+    assert applies(3, STEP_GRIDS[1][1]) == 4 * 16 + 4 * (77 + 180)
+    assert applies(2, STEP_GRIDS[1][1]) == 2 * 4 * 9 + 4 * 77
+    assert applies(1, STEP_GRIDS[1][1]) == 3 * 4 * 4
+    assert applies(4, [0.0, 700 * 0.01], dt=0.01) == 4 * 700
+
+
+def test_apply_of_a_stack_is_each_matrix_apply():
+    # catches a stacked apply that mixes rows or columns across matrices
+    rng = np.random.default_rng(3)
+    p = DampedParams(0.3, 1.2, 0.05)
+    for cutoff in (1, 2, 3):
+        d2 = (cutoff + 1) ** 2
+        stack = rng.normal(size=(2, 3, d2, d2)) + 1j * rng.normal(size=(2, 3, d2, d2))
+        out = liouvillian_apply(stack, cutoff, p)
+        assert out.shape == stack.shape
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(out[index], liouvillian_apply(stack[index], cutoff, p))
+
+
 def test_system_operators_are_shared_complex_stacks():
     left, right = lindblad._system_operators(2, 0.3, 1.0, 0.05)
     for stack in (left, right):
