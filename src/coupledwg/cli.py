@@ -136,6 +136,8 @@ class RunConfig:
     figure_id: str | None = None
 
     def __post_init__(self):
+        if self.command not in _COMMANDS:
+            raise UsageError(f"command must be one of {tuple(_COMMANDS)}, got {self.command!r}")
         for flag, (field, _, bound) in _FLAGS.items():
             value, name = getattr(self, field), flag.replace("_", "-")
             if isinstance(value, float) and not math.isfinite(value):
@@ -162,15 +164,10 @@ class RunConfig:
 _CSV_BLOCK_ROWS = 4096
 
 
-def _fmt(value: float) -> str:
-    return "%.12g" % (float(value) + 0.0)  # +0.0 folds -0.0 into 0
-
-
 def write_csv(path: str | None, header: list, columns: list) -> None:
     """Write columns (equal-length 1-D arrays) as CSV; '-' or None = stdout.
     The first column must be finite and strictly increasing.  Values print
-    as _fmt prints them, one row template over blocks of _CSV_BLOCK_ROWS
-    rows."""
+    as _csv_blocks prints them."""
     first = np.asarray(columns[0], dtype=float)
     if not (np.isfinite(first).all() and np.all(np.diff(first) > 0.0)):
         raise NumericalError("first CSV column must be finite and strictly increasing")
@@ -185,11 +182,12 @@ def write_csv(path: str | None, header: list, columns: list) -> None:
 
 def _csv_blocks(header: list, table: np.ndarray):
     """The CSV text of a table (rows x columns): the header line, then one
-    string per block of _CSV_BLOCK_ROWS rows."""
+    string per block of _CSV_BLOCK_ROWS rows, each value as "%.12g" with
+    -0.0 folded into 0."""
     yield ",".join(header) + "\n"
     row = ",".join(["%.12g"] * len(header)) + "\n"
     for begin in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = (table[begin:begin + _CSV_BLOCK_ROWS] + 0.0).tolist()  # as _fmt folds -0.0
+        block = (table[begin:begin + _CSV_BLOCK_ROWS] + 0.0).tolist()  # +0.0 folds -0.0
         yield "".join([row % tuple(values) for values in block])
 
 
@@ -343,13 +341,12 @@ def _run_compare(cfg: RunConfig) -> None:
 
 def _dump_oracle_states(path: str, trajectory) -> None:
     # debug aid: long-format dump of every sampled matrix entry
-    lines = ["t,row,col,real,imag"]
-    for t, state in zip(trajectory.times, trajectory.states):
-        for i in range(state.shape[0]):
-            for j in range(state.shape[1]):
-                lines.append(",".join((_fmt(t), str(i), str(j),
-                                       _fmt(state[i, j].real), _fmt(state[i, j].imag))))
-    _write_text(path, ["\n".join(lines) + "\n"])
+    states = np.array(trajectory.states)
+    count, n, _ = states.shape
+    rows, cols = np.divmod(np.tile(np.arange(n * n), count), n)
+    table = np.column_stack((np.repeat(trajectory.times, n * n), rows, cols,
+                             states.real.ravel(), states.imag.ravel()))
+    _write_text(path, _csv_blocks(["t", "row", "col", "real", "imag"], table))
 
 
 # --- figure reproduction -----------------------------------------------------

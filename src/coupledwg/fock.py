@@ -13,16 +13,16 @@ layout, so that neither of the last two builds its dense (d^2) x (d^2) form.
 
 The gates and the measures are written once, for a stack of matrices that
 share one _Layout, the grid positions of their entries: a held state, and a
-plain matrix read as its occupied entries, is the stack of one, and a chunk
-of damped states shares its layout.  Only purity keeps an einsum for a plain
-matrix, the RK4 oracle's side of a comparison.  The eigenproblems are solved
-sector by sector (_spectra).  The coupler conserves n_a + n_b and loss keeps
-coherence offsets, so a Fock or NOON input stays block-diagonal in n_a + n_b
-and its partial transpose in n_a - n_b; for the two-mode squeezed vacuum the
-roles swap.  A matrix then takes at most d eigvalsh calls (d = cutoff + 1),
-of sizes 1 to d, at a cost of the sum of n^3 over its occupied sectors
-instead of d^6.  A layout block-diagonal in neither labelling, such as a
-squeezed state after the coupler, is solved densely.
+plain matrix read as its occupied entries, is the stack of one, a chunk of
+damped states shares its layout, and a plain stack (the RK4 oracle's samples
+in a comparison) is read on the union of its occupied positions (_support).
+The eigenproblems are solved sector by sector (_spectra).  The coupler
+conserves n_a + n_b and loss keeps coherence offsets, so a Fock or NOON input
+stays block-diagonal in n_a + n_b and its partial transpose in n_a - n_b; for
+the two-mode squeezed vacuum the roles swap.  A matrix then takes at most d
+eigvalsh calls (d = cutoff + 1), of sizes 1 to d, at a cost of the sum of n^3
+over its occupied sectors instead of d^6.  A layout block-diagonal in neither
+labelling, such as a squeezed state after the coupler, is solved densely.
 """
 
 from __future__ import annotations
@@ -287,10 +287,12 @@ def _sector_tables(rows: np.ndarray, cols: np.ndarray, d: int, sign: int,
 
 
 def _support(ent: np.ndarray, d: int) -> _Occupied:
-    """The occupied entries of a dense grid matrix."""
-    flat = np.flatnonzero(ent != 0)
+    """The occupied entries of a dense grid matrix, or of a stack (..., d^2,
+    d^2): where any matrix is nonzero, row-major, and each one's values."""
+    stack = ent.reshape(-1, d ** 4)
+    flat = np.flatnonzero((stack != 0).any(axis=0))
     rows, cols = np.divmod(flat, d * d)
-    return _Occupied(rows, cols, ent.reshape(-1)[flat])
+    return _Occupied(rows, cols, stack[:, flat].reshape(ent.shape[:-2] + flat.shape))
 
 
 def _pure_support(psi: np.ndarray) -> _Occupied:
@@ -603,19 +605,19 @@ def _purities(values: np.ndarray, layout: _Layout) -> np.ndarray:
 
 
 def purity(rho) -> MeasureValue:
-    """Tr(rho^2) = sum_ij rho_ij rho_ji as a real number in (0, 1]: over its
-    occupied entries for a TwoModeDensityMatrix (_purities), and as one
-    einsum over a plain grid matrix, O(d^4) against O(d^6) for rho @ rho."""
-    if isinstance(rho, TwoModeDensityMatrix):
-        return MeasureValue("purity", float(_purities(*_as_stack(rho))[0]))
-    ent, _ = _as_entries(rho)
-    return MeasureValue("purity", float(np.einsum("ij,ji->", ent, ent).real))
+    """Tr(rho^2) = sum_ij rho_ij rho_ji as a real number in (0, 1], over
+    rho's occupied entries (_purities)."""
+    return MeasureValue("purity", float(_purities(*_as_stack(rho))[0]))
+
+
+def _measure_columns(values: np.ndarray, layout: _Layout) -> tuple:
+    """E_N, the entropy S of mode a and the purity of each matrix of a stack
+    (count, entries) on layout, through the measure gates alone."""
+    return (_log_negativities(_spectra(values, layout, True)),
+            _entropies(_reduced_states(values, layout)), _purities(values, layout))
 
 
 def _measures(values: np.ndarray, layout: _Layout) -> tuple:
-    """E_N, the entropy S of mode a and the purity of each matrix of a stack
-    (count, entries) on layout, once every matrix has passed the gates of a
-    TwoModeDensityMatrix (_checked), whose measures take the same steps."""
+    """_measure_columns once every matrix has passed _checked's gates."""
     _checked(values, layout)
-    return (_log_negativities(_spectra(values, layout, True)),
-            _entropies(_reduced_states(values, layout)), _purities(values, layout))
+    return _measure_columns(values, layout)

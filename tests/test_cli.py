@@ -65,6 +65,13 @@ def test_runconfig_invariants():
     assert cfg.cutoff == 4
 
 
+def test_unknown_command_is_a_usage_error():
+    with pytest.raises(UsageError) as err:
+        RunConfig(command="bogus")
+    assert "'bogus'" in str(err.value)
+    assert all(repr(command) in str(err.value) for command in cli._COMMANDS)
+
+
 def test_lossless_example_dips_at_one(tmp_path):
     out = tmp_path / "hom.csv"
     code = main(["lossless", "--input", "fock:1,1", "--J", "1",
@@ -140,6 +147,41 @@ def test_compare_dump_states(tmp_path):
     header, rows = read_csv(dump)
     assert header == ["t", "row", "col", "real", "imag"]
     assert rows.shape[0] == 5 * 81  # five samples of a 9x9 grid
+
+
+def _entry_by_entry_dump(trajectory):
+    # the dump written one entry at a time, each value as "%.12g" with -0.0
+    # folded into 0
+    def fmt(value):
+        return "%.12g" % (float(value) + 0.0)
+    lines = ["t,row,col,real,imag"]
+    for t, state in zip(trajectory.times, trajectory.states):
+        for i in range(state.shape[0]):
+            for j in range(state.shape[1]):
+                lines.append(",".join((fmt(t), str(i), str(j),
+                                       fmt(state[i, j].real), fmt(state[i, j].imag))))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_dump_states_bytes_match_the_entry_by_entry_format(monkeypatch, tmp_path):
+    # the oracle's own trajectory, captured on its way into the dump
+    seen = []
+    integrate = cli.integrate
+    monkeypatch.setattr(cli, "integrate", lambda *args, **kwargs: seen.append(
+        integrate(*args, **kwargs)) or seen[-1])
+    dump = tmp_path / "states.csv"
+    code = main(["compare", "--input", "noon:2", "--gamma", "0.05", "--J", "0.5",
+                 "--tmax", "3", "--steps", "6", "--dump-states", str(dump),
+                 "-o", str(tmp_path / "r.csv")])
+    assert code == EXIT_OK and len(seen) == 1
+    assert dump.read_bytes() == _entry_by_entry_dump(seen[0])
+    # signed zeros, a subnormal, long fractions and a time of 1e-12
+    grid = np.array([[-0.0, 1e-310 - 1j / 3], [-2.5e-13 + 0j, complex(-0.0, -0.0)]])
+    states = (grid, -grid.T, np.full((2, 2), 1.0 / 7.0 + 2j))
+    trajectory = lindblad.Trajectory(np.array([0.0, 1e-12, 2.0 / 3.0]), states, {})
+    cli._dump_oracle_states(str(dump), trajectory)
+    assert dump.read_bytes() == _entry_by_entry_dump(trajectory)
+    assert b"-0," not in dump.read_bytes() and not dump.read_bytes().endswith(b"-0\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -601,6 +601,41 @@ def test_purity_matches_trace_of_square():
         assert abs(float(purity(rho)) - np.trace(ent @ ent).real) <= 1e-15
 
 
+def test_purity_of_a_plain_matrix_is_the_held_states():
+    # one Tr rho^2 for both: a plain matrix is read as the held state built
+    # from it would hold it
+    rng = np.random.default_rng(12)
+    states = list(_damped_outputs()) + [random_mixed(rng, 3, rank=5) for _ in range(5)]
+    for rho in states:
+        ent = np.array(rho.entries)
+        held = TwoModeDensityMatrix(rho.cutoff, ent)
+        assert float(purity(ent)).hex() == float(purity(held)).hex()
+
+
+def test_stacked_measures_match_one_matrix_calls():
+    # plain matrices of one grid whose supports differ, all block-diagonal in
+    # n_a + n_b: read as one stack on the union of their supports, each row
+    # must give that matrix's own one-matrix measures, bit for bit
+    cutoff = 4
+    inputs = (fock_state(1, 0, cutoff), noon_state(2, cutoff), fock_state(2, 1, cutoff),
+              fock_state(0, 4, cutoff), noon_state(4, cutoff))
+    ents = [evolve_damped_exact(TwoModeDensityMatrix.from_pure(state),
+                                DampedParams(0.3, 0.8, gamma), t).entries
+            for state, gamma, t in zip(inputs, (0.0, 0.05, 0.2, 0.05, 0.0),
+                                       (0.4, 1.3, 0.7, 2.9, 0.0))]
+    supports = {np.flatnonzero(ent).tobytes() for ent in ents}
+    assert len(supports) == len(ents)
+    d = cutoff + 1
+    rows, cols, values = fock._support(np.array(ents), d)
+    layout = fock._Layout(d, rows, cols)
+    assert layout.blocks is not None and layout.transposed is not None
+    columns = np.array(fock._measure_columns(values, layout))
+    for ent, got in zip(ents, columns.T):
+        want = (float(log_negativity(ent)), float(von_neumann_entropy(reduced_state(ent))),
+                float(purity(ent)))
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
 # ------------------------------------------------ pure states held as entries
 # from_pure holds |psi><psi| as its occupied entries, built from the amplitude
 # support, and builds the dense matrix only when entries is read or a dense

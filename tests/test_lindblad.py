@@ -6,7 +6,8 @@ import pytest
 from coupledwg import lindblad
 from coupledwg.damped import DampedParams, evolve_damped_exact
 from coupledwg.errors import IntegrationError, ValidationError
-from coupledwg.fock import TwoModeDensityMatrix, fock_state, noon_state, purity
+from coupledwg.fock import TwoModeDensityMatrix, fock_state, log_negativity, noon_state, purity, \
+    reduced_state, von_neumann_entropy
 from coupledwg.lindblad import (
     DeviationReport,
     IntegratorConfig,
@@ -350,3 +351,54 @@ def test_compare_length_mismatch():
     traj = integrate(rho, p, IntegratorConfig(dt=0.01, t_max=0.5), sample_times=[0.5])
     with pytest.raises(ValidationError):
         compare([rho, rho], traj)
+
+
+def _per_sample_deltas(closed, traj):
+    # compare's measure deltas, one sample at a time through the public measures
+    def measures(rho):
+        return (float(von_neumann_entropy(reduced_state(rho))), float(log_negativity(rho)),
+                float(purity(rho)))
+    return np.array([np.subtract(measures(state), measures(ref))
+                     for state, ref in zip(closed, traj.states)]).T
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.05])
+@pytest.mark.parametrize("spec", ["fock:1,0", "noon:2", "fock:2,1"])
+def test_compare_measures_match_per_sample_route(spec, gamma):
+    kind, _, numbers = spec.partition(":")
+    photons = [int(n) for n in numbers.split(",")]
+    p = DampedParams(0.0, 1.0, gamma)
+    times = np.linspace(0.0, 1.0, 6)
+    for cutoff in (sum(photons), sum(photons) + 1):
+        state = fock_state(*photons, cutoff) if kind == "fock" else noon_state(*photons, cutoff)
+        rho = dm(state)
+        traj = integrate(rho, p, IntegratorConfig(dt=1e-3, t_max=1.0), sample_times=times)
+        closed = list(evolve_damped_exact(rho, p, times))
+        report = compare(closed, traj)
+        entropy, log_neg, pur = _per_sample_deltas(closed, traj)
+        assert report.entropy_delta.tobytes() == entropy.tobytes()
+        assert report.log_negativity_delta.tobytes() == log_neg.tobytes()
+        assert np.abs(report.purity_delta - pur).max() <= 1e-15
+        # nonzero deltas, so that swapping the two sides shows
+        assert np.all([np.any(column != 0.0) for column in (entropy, log_neg, pur)])
+
+
+def test_compare_raises_the_first_bad_samples_trace_error():
+    # samples 2 and 3 drift by 5e-10 and 3e-9: within the oracle's 1e-9 for
+    # sample 2, beyond the entropy gate's 1e-10 for both.  Sample 3 is nearly
+    # pure, so its purity also leaves the purity gate, and the entropy error
+    # of sample 2 must come first, as it does one sample at a time
+    p = DampedParams(0.0, 1.0, 0.0)
+    rho = dm(fock_state(1, 0, 1))
+    times = [0.0, 0.2, 0.4, 0.6, 0.8]
+    traj = integrate(rho, p, IntegratorConfig(dt=0.01, t_max=1.0), sample_times=times)
+    states = list(traj.states)
+    states[2] = states[2] * (1.0 + 5e-10)
+    states[3] = states[3] * (1.0 + 3e-9)
+    drifted = Trajectory(traj.times, tuple(states), traj.diagnostics)
+    closed = list(evolve_damped_exact(rho, p, times))
+    with pytest.raises(ValidationError) as err:
+        compare(closed, drifted)
+    assert str(err.value) == "trace deviates from 1 by 5.000e-10"
+    with pytest.raises(ValidationError, match="purity"):
+        purity(states[3])
