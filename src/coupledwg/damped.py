@@ -30,9 +30,9 @@ handful of stacked products on (times x entries) arrays: the tables
 weighted by gamma_-^k, the slot phases, and each block rotated back, with
 no dense (d^2 x d^2) product and no Python loop over the times.  Each chunk
 of the grid is checked for its trace deficit, renormalized and Hermitized on
-the compact layout.  Drawn as states, each row, in row-major grid order
-without its exact zeros, is held by a TwoModeDensityMatrix.  Drawn as
-measures (DampedStates.measures), a chunk is one stack on the layout for
+the compact layout.  Drawn as states, each row, zeros and all, is held by a
+TwoModeDensityMatrix on that one layout.  Drawn as measures
+(DampedStates.measures), a chunk is one stack on the layout for
 fock._measures, which every held state takes as a stack of one.  At most one
 chunk of _CHUNK_BYTES is alive however many times are asked for, and a row's
 arithmetic is that of its time alone (a vector-matrix loss product per time,
@@ -254,22 +254,22 @@ def _root_binomials(dim: int) -> np.ndarray:
     return out
 
 
-def _lost_photons(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, d: int):
+def _lost_photons(values: np.ndarray, layout: _Layout):
     """Every way loss moves the occupied entries of rho down: k_a photons
     from mode a and k_b from mode b on both sides take |n_a, n_b><m_a, m_b|
     to |n_a - k_a, n_b - k_b><m_a - k_a, m_b - k_b| with the Kraus weight
     sqrt(C(n_a, k_a) C(m_a, k_a) C(n_b, k_b) C(m_b, k_b)), before any time
     factor.  Returns k = k_a + k_b, the target's four photon numbers and the
     weighted entry, one element per (entry, k_a, k_b)."""
-    na, nb = np.divmod(rows, d)
-    ma, mb = np.divmod(cols, d)
+    na, nb = np.divmod(layout.rows, layout.d)
+    ma, mb = np.divmod(layout.cols, layout.d)
     per_a, per_b = np.minimum(na, ma) + 1, np.minimum(nb, mb) + 1
     count = per_a * per_b
     entry = np.repeat(np.arange(count.size), count)
     ka, kb = np.divmod(np.arange(entry.size) - np.repeat(np.cumsum(count) - count, count),
                        per_b[entry])
     na, nb, ma, mb = na[entry], nb[entry], ma[entry], mb[entry]
-    root = _root_binomials(d)
+    root = _root_binomials(layout.d)
     weighted = values[entry] * (root[ka, na] * root[ka, ma] * root[kb, nb] * root[kb, mb])
     return ka + kb, na - ka, nb - kb, ma - ka, mb - kb, weighted
 
@@ -286,8 +286,9 @@ class _SectorTerms(NamedTuple):
     layout: _Layout        # every entry's transposed partner is laid out
 
 
-def _sector_terms(occupied: _Occupied, d: int) -> _SectorTerms:
-    k, na, nb, ma, mb, weighted = _lost_photons(*occupied, d)
+def _sector_terms(occupied: _Occupied) -> _SectorTerms:
+    d = occupied.layout.d
+    k, na, nb, ma, mb, weighted = _lost_photons(*occupied)
     row_total, col_total = na + nb, ma + mb
     # both orders of every pair, so each entry's transposed partner is laid out
     reached = np.zeros(d * d, dtype=bool)
@@ -383,11 +384,12 @@ class DampedStates:
     time as it is consumed, so memory does not grow with the number of times.
 
     Iterating gives the states in order, each a validated
-    TwoModeDensityMatrix.  measures() gives instead the columns E_N, the
-    entropy S of mode a and the purity over the whole grid, one chunk at a
-    time, straight from the compact layout (fock._measures): every state
-    passes the same gates, and no dense state is built unless rho mixes
-    photon sectors."""
+    TwoModeDensityMatrix holding a read-only copy of its chunk row on the
+    call's layout, whose positions its repr counts.  measures() gives
+    instead the columns E_N, the entropy S of mode a and the purity over the
+    whole grid, one chunk at a time, straight from the compact layout
+    (fock._measures): every state passes the same gates, and no dense state
+    is built unless rho mixes photon sectors."""
 
     def __init__(self, rho: TwoModeDensityMatrix, terms: _SectorTerms, p: DampedParams,
                  times: np.ndarray):
@@ -401,14 +403,12 @@ class DampedStates:
         return next(self._states)
 
     def _held_states(self) -> Iterator[TwoModeDensityMatrix]:
-        layout, cutoff = self._terms.layout, self._rho.cutoff
-        order = np.argsort(layout.rows * (cutoff + 1) ** 2 + layout.cols)
-        rows, cols = layout.rows[order], layout.cols[order]
+        layout = self._terms.layout
         for chunk in _propagate(self._rho, self._terms, self._p, self._times):
             for row in chunk:
-                values = row[order]
-                keep = np.flatnonzero(values)
-                yield TwoModeDensityMatrix(cutoff, _Occupied(rows[keep], cols[keep], values[keep]))
+                values = row.copy()
+                values.setflags(write=False)
+                yield TwoModeDensityMatrix(layout.d - 1, _Occupied(values, layout))
 
     def measures(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """One (E_N, S, purity) triple of arrays per chunk of the grid, in order."""
@@ -435,11 +435,11 @@ def evolve_damped_exact(rho: TwoModeDensityMatrix, p: DampedParams, t: float | n
     if flat.size and not (flat.min() >= 0.0 and math.isfinite(flat.max())):
         bad = flat[~(np.isfinite(flat) & (flat >= 0.0))][0]
         raise ValidationError(f"t must be finite and >= 0, got {bad}")
-    d = rho.cutoff + 1
-    occupied = np.zeros(d * d)
-    occupied[rho._occupied.rows] = occupied[rho._occupied.cols] = 1.0
-    _require_capacity_support(occupied.reshape(d, d), rho.cutoff, "density matrix")
-    states = DampedStates(rho, _sector_terms(rho._occupied, d), p, flat)
+    layout = rho._occupied.layout
+    occupied = np.zeros(layout.d ** 2)
+    occupied[layout.rows] = occupied[layout.cols] = 1.0
+    _require_capacity_support(occupied.reshape(layout.d, layout.d), rho.cutoff, "density matrix")
+    states = DampedStates(rho, _sector_terms(rho._occupied), p, flat)
     return next(states) if times.ndim == 0 else states
 
 

@@ -6,23 +6,25 @@ n_a + n_b <= cutoff so that photon-conserving (and photon-losing) dynamics stay
 exact on the grid.  All logarithms are base 2: entropies and logarithmic
 negativities are reported in bits.
 
-A TwoModeDensityMatrix holds its occupied entries (_Occupied): a dense
-argument is scanned for them, from_pure takes them from the k nonzero
-amplitudes (k^2 products), and a state drawn from damped.py from its compact
-layout, so that neither of the last two builds its dense (d^2) x (d^2) form.
+A TwoModeDensityMatrix holds its occupied entries, values on a _Layout: a
+dense argument's, or from_pure's k^2 products of k nonzero amplitudes, are
+row-major without zeros, and a state drawn from damped.py holds its row of
+its call's layout, zeros and all.  Neither of the last two builds its dense
+(d^2) x (d^2) form.
 
 The gates and the measures are written once, for a stack of matrices that
 share one _Layout, the grid positions of their entries: a held state, and a
-plain matrix read as its occupied entries, is the stack of one, a chunk of
-damped states shares its layout, and a plain stack (the RK4 oracle's samples
-in a comparison) is read on the union of its occupied positions (_support).
-The eigenproblems are solved sector by sector (_spectra).  The coupler
-conserves n_a + n_b and loss keeps coherence offsets, so a Fock or NOON input
-stays block-diagonal in n_a + n_b and its partial transpose in n_a - n_b; for
-the two-mode squeezed vacuum the roles swap.  A matrix then takes at most d
-eigvalsh calls (d = cutoff + 1), of sizes 1 to d, at a cost of the sum of n^3
-over its occupied sectors instead of d^6.  A layout block-diagonal in neither
-labelling, such as a squeezed state after the coupler, is solved densely.
+plain matrix read as its occupied entries, is the stack of one, the chunks
+of a damped call and every state drawn from it share one layout, and a
+plain stack (the RK4 oracle's samples in a comparison) is read on the union
+of its occupied positions (_support).  The eigenproblems are solved sector
+by sector (_spectra).  The coupler conserves n_a + n_b and loss keeps
+coherence offsets, so a Fock or NOON input stays block-diagonal in n_a + n_b
+and its partial transpose in n_a - n_b; for the two-mode squeezed vacuum the
+roles swap.  A matrix then takes at most d eigvalsh calls (d = cutoff + 1),
+of sizes 1 to d, at a cost of the sum of n^3 over its occupied sectors
+instead of d^6.  A layout block-diagonal in neither labelling, such as a
+squeezed state after the coupler, is solved densely.
 """
 
 from __future__ import annotations
@@ -139,11 +141,10 @@ class TwoModePureState:
 
 
 class _Occupied(NamedTuple):
-    """Grid rows, columns and values of a matrix's nonzero entries, row-major."""
+    """A matrix's entries, or a stack's one row each, on their _Layout."""
 
-    rows: np.ndarray
-    cols: np.ndarray
     values: np.ndarray
+    layout: _Layout
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,15 +176,13 @@ class TwoModeDensityMatrix:
             object.__setattr__(self, "entries", ent)
             occupied = _support(ent, d)
         object.__setattr__(self, "_occupied", occupied)
-        object.__setattr__(self, "_layout", _Layout(d, occupied.rows, occupied.cols))
         _checked(*_as_stack(self))
 
     def __getattr__(self, name):
         # only a state handed its occupied entries lacks entries, until read
         if name != "entries":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows, cols, values = self._occupied
-        ent = _grid_matrices(values, rows, cols, self.cutoff + 1)
+        ent = _grid_matrices(*self._occupied)
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
         return ent
@@ -194,7 +193,7 @@ class TwoModeDensityMatrix:
 
     @classmethod
     def from_pure(cls, state: TwoModePureState) -> "TwoModeDensityMatrix":
-        return cls(state.cutoff, _pure_support(state.flat()))
+        return cls(state.cutoff, _pure_support(state.flat(), state.cutoff + 1))
 
 
 def _sealed(arr) -> bool:
@@ -288,29 +287,31 @@ def _sector_tables(rows: np.ndarray, cols: np.ndarray, d: int, sign: int,
 
 def _support(ent: np.ndarray, d: int) -> _Occupied:
     """The occupied entries of a dense grid matrix, or of a stack (..., d^2,
-    d^2): where any matrix is nonzero, row-major, and each one's values."""
+    d^2): each one's values where any matrix is nonzero, on that layout,
+    row-major."""
     stack = ent.reshape(-1, d ** 4)
     flat = np.flatnonzero((stack != 0).any(axis=0))
-    rows, cols = np.divmod(flat, d * d)
-    return _Occupied(rows, cols, stack[:, flat].reshape(ent.shape[:-2] + flat.shape))
+    values = stack[:, flat].reshape(ent.shape[:-2] + flat.shape)
+    return _Occupied(values, _Layout(d, *np.divmod(flat, d * d)))
 
 
-def _pure_support(psi: np.ndarray) -> _Occupied:
+def _pure_support(psi: np.ndarray, d: int) -> _Occupied:
     """_support of np.outer(psi, psi.conj()), from the products of the
     nonzero amplitudes alone; a product that underflows to 0 is left out."""
     occupied = np.flatnonzero(psi)
     products = np.outer(psi[occupied], psi[occupied].conj()).reshape(-1)
     keep = np.flatnonzero(products)
     rows, cols = np.divmod(keep, occupied.size)
-    return _Occupied(occupied[rows], occupied[cols], products[keep])
+    return _Occupied(products[keep], _Layout(d, occupied[rows], occupied[cols]))
 
 
 @dataclass(frozen=True, eq=False)
 class _Layout:
     """Where a stack of grid matrices that share their occupied positions
     holds its entries, one row of values per matrix: each entry's grid row
-    and column.  A held state's layout has one row; a chunk of damped states
-    shares one (damped._SectorTerms).  The rest is found on first read."""
+    and column.  A held state is a stack of one; a damped call's chunks and
+    drawn states share one (damped._SectorTerms).  The rest is found on
+    first read, once per layout."""
 
     d: int
     rows: np.ndarray
@@ -354,22 +355,20 @@ class _Layout:
 def _as_stack(rho) -> tuple[np.ndarray, _Layout]:
     """rho's occupied entries, held or a plain matrix's _support, as a stack
     of one, and their layout."""
-    if isinstance(rho, TwoModeDensityMatrix):
-        return rho._occupied.values[None], rho._layout
-    ent, d = _as_entries(rho)
-    rows, cols, values = _support(ent, d)
-    return values[None], _Layout(d, rows, cols)
+    values, layout = (rho._occupied if isinstance(rho, TwoModeDensityMatrix)
+                      else _support(*_as_entries(rho)))
+    return values[None], layout
 
 
-def _grid_matrices(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, d: int) -> np.ndarray:
-    """Dense grid matrices holding values (..., entries) at rows and cols."""
-    d2 = d * d
+def _grid_matrices(values: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Dense grid matrices holding values (..., entries) on layout."""
+    d2 = layout.d ** 2
     try:
         out = np.zeros(values.shape[:-1] + (d2, d2), dtype=complex)
     except MemoryError:
-        raise NumericalError(f"the cutoff-{d - 1} density matrix ({d2}^2 "
+        raise NumericalError(f"the cutoff-{layout.d - 1} density matrix ({d2}^2 "
                              "complex entries) does not fit in memory") from None
-    out[..., rows, cols] = values
+    out[..., layout.rows, layout.cols] = values
     return out
 
 
@@ -391,7 +390,7 @@ def _spectra(values: np.ndarray, layout: _Layout, transposed: bool = False) -> n
         padded = _padded(values)
         return np.concatenate([np.zeros((count, 0))] + [
             _eigvalsh(np.take(padded, t, axis=1)).reshape(count, -1) for t in tables], axis=1)
-    dense = _grid_matrices(values, layout.rows, layout.cols, layout.d)
+    dense = _grid_matrices(values, layout)
     return _eigvalsh(np.array([partial_transpose(m) for m in dense]) if transposed else dense)
 
 
@@ -530,8 +529,8 @@ def pure_log_negativity(state: TwoModePureState) -> MeasureValue:
 def _reduced_states(values: np.ndarray, layout: _Layout, keep: str = "a") -> np.ndarray:
     """The reduced state of mode keep of each matrix of a stack (count,
     entries) on layout, (count, d, d): each entry summed over the traced
-    photon number in layout order, which for a held state and a damped
-    layout is increasing."""
+    photon number in layout order, which on a row-major layout (_support)
+    and on a damped one is increasing."""
     d = layout.d
     (na, nb), (ma, mb) = np.divmod(layout.rows, d), np.divmod(layout.cols, d)
     if keep == "b":

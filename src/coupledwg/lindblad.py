@@ -30,7 +30,7 @@ import numpy as np
 
 from .damped import DampedParams
 from .errors import IntegrationError, ValidationError
-from .fock import TwoModeDensityMatrix, _as_entries, _Layout, _measure_columns, _support
+from .fock import TwoModeDensityMatrix, _as_entries, _measure_columns, _support
 
 SAMPLE_TRACE_TOL = 1e-9
 SAMPLE_EIG_FLOOR = -1e-9
@@ -261,11 +261,9 @@ def compare(closed_states: Iterable, oracle: Trajectory) -> DeviationReport:
         max_abs.append(float(np.abs(mine - ref).max()))
         tdist.append(trace_distance(mine, ref))
     d = math.isqrt(ours[0].shape[0]) if ours else 1  # no samples: stacks (0, 1, 1)
-    sides = []
-    for side in (ours, oracle.states):
-        rows, cols, values = _support(np.reshape(side, (-1, d * d, d * d)), d)
-        sides.append(_measure_columns(values, _Layout(d, rows, cols)))
-    (en, s, pur), (ref_en, ref_s, ref_pur) = sides
+    (en, s, pur), (ref_en, ref_s, ref_pur) = (
+        _measure_columns(*_support(np.reshape(side, (-1, d * d, d * d)), d))
+        for side in (ours, oracle.states))
     return DeviationReport(times=oracle.times.copy(), max_abs_entry=np.asarray(max_abs),
                            trace_distances=np.asarray(tdist), entropy_delta=s - ref_s,
                            log_negativity_delta=en - ref_en, purity_delta=pur - ref_pur)

@@ -330,6 +330,11 @@ def test_config_file_errors(tmp_path, capsys):
     badval.write_text("steps = much\n")
     assert main(["lossless", "--config", str(badval)]) == EXIT_USAGE
     capsys.readouterr()
+    # a known key that the command does not take
+    foreign = tmp_path / "foreign.conf"
+    foreign.write_text("gamma=0.1\n")
+    assert main(["figure", "1a", "--config", str(foreign)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: config key 'gamma' not valid for 'figure'\n"
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -575,6 +580,22 @@ def test_figures_byte_identical_under_a_second_simd_target(tmp_path):
     for fid in ids:
         ref = (_REF_FIGURES / f"{fid}.csv").read_bytes()
         assert (tmp_path / f"{fid}.csv").read_bytes() == ref, fid
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # python -m coupledwg exits with cli.main's code and writes its bytes
+    path = [str(_REF_FIGURES.parents[2] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "coupledwg", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, timeout=120)
+    figure = run("figure", "1a", "-o", "-")
+    assert (figure.returncode, figure.stderr) == (EXIT_OK, b"")
+    assert figure.stdout == (_REF_FIGURES / "1a.csv").read_bytes()
+    refused = run("damped", "--gamma", "-1")
+    assert (refused.returncode, refused.stdout) == (EXIT_USAGE, b"")
+    assert refused.stderr.decode() == "usage error: gamma must be >= 0, got -1.0\n"
 
 
 _REF_DAMPED = _REF_FIGURES.parent / "damped"

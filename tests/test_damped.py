@@ -188,6 +188,8 @@ def test_disentangle_boundary_identities():
     assert lossfree.gamma_plus == 0.0 and lossfree.gamma_minus == 0.0
     assert abs(lossfree.gamma_3) == pytest.approx(1.0, abs=1e-10)
     assert lossfree.gamma_3 == pytest.approx(cmath.exp(-2j * 0.8 * 1.7), abs=1e-12)
+    with pytest.raises(ValidationError, match=r"t must be finite and >= 0, got -1\.0"):
+        disentangle_params(P, -1.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -268,20 +270,31 @@ _GRIDS = ((0.05, np.concatenate((np.linspace(0.0, 8.0, 37), [40.0, 0.3]))),
           (100.0, np.array([7.6, 7.0, 0.01, 7.46, 7.3, 7.05, 7.5])))
 
 
+@pytest.fixture(scope="module")
+def one_time_entries():
+    # (rho, params, times, the one-time calls' entries) over _grid_inputs() x
+    # _GRIDS: a one-time call is one chunk under any budget, so every budget
+    # shares them
+    cases = []
+    for rho in _grid_inputs():
+        for gamma, times in _GRIDS:
+            p = DampedParams(0.7, 1.3, gamma)
+            cases.append((rho, p, times,
+                          [evolve_damped_exact(rho, p, float(t)).entries for t in times]))
+    return cases
+
+
 @pytest.mark.parametrize("chunk_bytes", [damped._CHUNK_BYTES, 1 << 18, 1 << 14, 1 << 26])
-def test_batch_matches_scalar_calls(chunk_bytes, monkeypatch):
+def test_batch_matches_scalar_calls(chunk_bytes, monkeypatch, one_time_entries):
     # a state is the one-time call's bit for bit, whatever chunk of the grid
     # it was built in: no step of the propagator depends on how many times
     # share a chunk
     monkeypatch.setattr(damped, "_CHUNK_BYTES", chunk_bytes)
-    for rho in _grid_inputs():
-        for gamma, times in _GRIDS:
-            p = DampedParams(0.7, 1.3, gamma)
-            batch = evolve_damped_exact(rho, p, times)
-            for t in times:
-                want = evolve_damped_exact(rho, p, float(t)).entries
-                assert np.array_equal(next(batch).entries, want), (rho.cutoff, t)
-            assert next(batch, None) is None
+    for rho, p, times, wants in one_time_entries:
+        batch = evolve_damped_exact(rho, p, times)
+        for t, want in zip(times, wants):
+            assert np.array_equal(next(batch).entries, want), (rho.cutoff, t)
+        assert next(batch, None) is None
 
 
 def _one_at_a_time(column, grid):
@@ -504,19 +517,30 @@ def test_batch_memory_does_not_grow_with_the_grid(monkeypatch):
 
 def test_damped_route_builds_no_dense_state():
     # measures() of a from_pure input reads no dense matrix, and a drawn
-    # state is held as its occupied entries until entries is read: those of
-    # its dense form, found as a dense argument's are
+    # state is held as its values on the call's own layout until entries is
+    # read: at the positions a dense argument occupies they are its dense
+    # form's values, and every other one is 0
     rho = TwoModeDensityMatrix.from_pure(noon_state(4, 4))
     p = DampedParams(0.3, 0.7, 0.05)
     times = np.linspace(0.0, 3.0, 7)
     list(evolve_damped_exact(rho, p, times).measures())
     assert "entries" not in vars(rho)
-    for state in evolve_damped_exact(rho, p, times):
+    states = evolve_damped_exact(rho, p, times)
+    layout = states._terms.layout
+    d2 = layout.d ** 2
+    where = np.full(d2 * d2, -1)
+    where[layout.rows * d2 + layout.cols] = np.arange(layout.rows.size)
+    for state in states:
         assert "entries" not in vars(state)
+        values, held = state._occupied
+        assert held is layout and not values.flags.writeable
         dense = TwoModeDensityMatrix(state.cutoff, state.entries)
         assert "entries" in vars(state)
-        for mine, theirs in zip(state._occupied, dense._occupied):
-            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        want, support = dense._occupied
+        picked = where[support.rows * d2 + support.cols]
+        assert picked.min() >= 0
+        assert values.dtype == want.dtype and values[picked].tobytes() == want.tobytes()
+        assert np.all(np.delete(values, picked) == 0)
     assert "entries" not in vars(rho)
 
 
@@ -544,11 +568,11 @@ def test_measures_match_per_state_route(gamma):
         chunks = list(evolve_damped_exact(rho, p, times).measures())
         columns = np.concatenate(chunks, axis=1)
         assert columns.shape == (3, times.size)
-        # E_N and S take the same solves; the purity sums a held state's
-        # entries row-major and a chunk's in block-pair order
+        # a drawn state is its chunk's row on the call's layout, so every
+        # measure takes the same solves and the same ordered sums
         en, entropy, pure = _per_state_columns(rho, p, times)
         assert np.array_equal(columns[0], en) and np.array_equal(columns[1], entropy), (state, gamma)
-        assert np.all(np.abs(columns[2] - pure) <= 1e-12 + 1e-9 * np.abs(pure)), (state, gamma)
+        assert np.array_equal(columns[2], pure), (state, gamma)
         if gamma == 1e300:  # the vacuum after t = 0
             assert np.array_equal(columns[:, 1:], np.tile([[0.0], [0.0], [1.0]], 12))
 
@@ -775,6 +799,8 @@ def test_closed_forms_at_large_gamma_t():
 def test_purity_boundary_cases():
     assert float(purity_closed(DampedParams(0.0, 3.0, 0.0), 5.0)) == 1.0
     assert float(purity_closed(P, 0.0)) == 1.0
+    with pytest.raises(ValidationError, match=r"t must be finite and >= 0, got -1\.0"):
+        purity_closed(P, -1.0)
 
 
 def test_purity_at_an_underflowing_theta_is_the_small_time_limit():

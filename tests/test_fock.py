@@ -626,8 +626,7 @@ def test_stacked_measures_match_one_matrix_calls():
     supports = {np.flatnonzero(ent).tobytes() for ent in ents}
     assert len(supports) == len(ents)
     d = cutoff + 1
-    rows, cols, values = fock._support(np.array(ents), d)
-    layout = fock._Layout(d, rows, cols)
+    values, layout = fock._support(np.array(ents), d)
     assert layout.blocks is not None and layout.transposed is not None
     columns = np.array(fock._measure_columns(values, layout))
     for ent, got in zip(ents, columns.T):
@@ -705,7 +704,9 @@ def test_from_pure_matches_the_dense_route(kind):
             # a dense solve is d^2 wide; at cutoff 0 so is the entropy's
             assert (d > 1 and (1, d * d, d * d) in shapes) == (kind == "coupled")
             assert "entries" not in vars(held)  # a dense solve builds its own matrices
-            for mine, theirs in zip(held._occupied, fock._support(dense.entries, d)):
+            (values, layout), (found, support) = held._occupied, fock._support(dense.entries, d)
+            for mine, theirs in zip((layout.rows, layout.cols, values),
+                                    (support.rows, support.cols, found)):
                 assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
             for transposed in (False, True):
                 mine = _spectrum(held, transposed)
@@ -726,6 +727,8 @@ def test_from_pure_builds_entries_once_on_first_read():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20  # the dense matrix alone is 45 MB
+    with pytest.raises(AttributeError, match="has no attribute 'foo'"):
+        getattr(rho, "foo")  # only entries is built on read
     ent = rho.entries
     psi = state.flat()
     assert ent.tobytes() == np.outer(psi, psi.conj()).tobytes()

@@ -190,6 +190,8 @@ def test_validation_errors():
         thermal_evolved_covariance(P, 1.0, -0.5, 0.0, 0.25, 0.25)
     with pytest.raises(ValidationError):
         tmsv_covariance(math.nan)
+    with pytest.raises(ValidationError, match="r must be finite, got nan"):
+        two_mode_squeezed_state(math.nan, 3)
     with pytest.raises(ValidationError):
         symplectic_eigenvalues(np.eye(5))
 

@@ -351,6 +351,10 @@ def test_compare_length_mismatch():
     traj = integrate(rho, p, IntegratorConfig(dt=0.01, t_max=0.5), sample_times=[0.5])
     with pytest.raises(ValidationError):
         compare([rho, rho], traj)
+    wider = integrate(dm(fock_state(1, 0, 3)), p, IntegratorConfig(dt=0.01, t_max=0.5),
+                      sample_times=[0.5])
+    with pytest.raises(ValidationError, match=r"grid mismatch: \(9, 9\) vs \(16, 16\)"):
+        compare([dm(fock_state(1, 0, 2))], wider)
 
 
 def _per_sample_deltas(closed, traj):

@@ -81,6 +81,8 @@ def test_sector_matrix_entries():
     for total in (1, 2, 3, 5):
         lam = np.linalg.eigvalsh(sector_coupling_matrix(total))
         assert np.allclose(np.sort(lam), np.arange(-total, total + 1, 2), atol=1e-12)
+    with pytest.raises(ValidationError, match="total photon number must be non-negative"):
+        sector_coupling_matrix(-1)
 
 
 def test_single_photon_amplitudes():
