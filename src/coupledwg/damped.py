@@ -132,13 +132,19 @@ def bogoliubov_params(p: DampedParams) -> BogoliubovParams:
     The four complex frequencies are -+ sqrt(gamma^2 + (omega -+ J)^2)/2 - i gamma/2.
     """
     branch = []
-    for detun in (p.omega - p.J, p.omega + p.J):
-        denom = math.sqrt(2.0 * p.gamma ** 2 + detun ** 2)
+    for name, detun in (("omega - J", p.omega - p.J), ("omega + J", p.omega + p.J)):
+        try:
+            square = 2.0 * p.gamma ** 2 + detun ** 2
+        except OverflowError:  # float ** raises where * gives inf
+            square = math.inf
+        if square == math.inf:
+            raise NumericalError(f"2 gamma^2 + ({name})^2 overflows a float at gamma = "
+                                 f"{p.gamma:g}, {name} = {detun:g}")
+        denom = math.sqrt(square)
         nu = 0.0 if denom == 0.0 else p.gamma / denom
-        branch.append((math.sqrt(1.0 + nu * nu), nu, math.asinh(nu)))
-    (mu1, nu1, r1), (mu2, nu2, r2) = branch
-    half1 = 0.5 * math.sqrt(p.gamma ** 2 + (p.omega - p.J) ** 2)
-    half2 = 0.5 * math.sqrt(p.gamma ** 2 + (p.omega + p.J) ** 2)
+        half = 0.5 * math.sqrt(p.gamma ** 2 + detun ** 2)
+        branch.append((math.sqrt(1.0 + nu * nu), nu, math.asinh(nu), half))
+    (mu1, nu1, r1, half1), (mu2, nu2, r2, half2) = branch
     shift = -0.5j * p.gamma
     return BogoliubovParams(mu1, nu1, mu2, nu2, r1, r2,
                             -half1 + shift, half1 + shift,
@@ -315,8 +321,7 @@ def _sector_terms(occupied: _Occupied) -> _SectorTerms:
     return _SectorTerms(pairs, lost, _Layout(d, *layout))
 
 
-def _sector_stack(terms: _SectorTerms, p: DampedParams, cutoff: int,
-                  times: np.ndarray) -> np.ndarray:
+def _sector_stack(terms: _SectorTerms, p: DampedParams, times: np.ndarray) -> np.ndarray:
     """rho(t) on the compact layout, one row per time: the loss terms summed
     with weights gamma_-^k, eigenvector i of sector M scaled by
     sqrt(gamma_3)^M and its coupler phase e^{-i (omega M + J lam_i) t} on the
@@ -325,14 +330,14 @@ def _sector_stack(terms: _SectorTerms, p: DampedParams, cutoff: int,
     a stacked gemm picks its kernel by the row count, which would make a row
     depend on its chunk.  The phases grow with t, so they are checked at the
     largest time only."""
-    _require_finite_phases(cutoff, p.coupler(), float(times.max()))
+    _require_finite_phases(terms.layout.d - 1, p.coupler(), float(times.max()))
     _, g3_root, g_minus = loss_channel_factors(p.gamma, times)
     column = times[:, None]
     # every sector in use is some pair's M: both orders of each pair are laid out
     amp = {m: g3_root[:, None] ** m * np.exp(-1j * p.omega * m * column)
            * np.exp(-1j * p.J * column * _sector_eigensystem(m)[0])
            for m in {m for m, _, _ in terms.pairs}}
-    weights = g_minus[:, None] ** np.arange(cutoff + 1)
+    weights = g_minus[:, None] ** np.arange(terms.layout.d)
     stack = (weights[:, None, :] @ terms.lost)[:, 0, :]
     for m, m2, sl in terms.pairs:
         # a view into stack: the pair's entries are contiguous in each row
@@ -343,21 +348,21 @@ def _sector_stack(terms: _SectorTerms, p: DampedParams, cutoff: int,
     return stack
 
 
-def _propagate(rho: TwoModeDensityMatrix, terms: _SectorTerms, p: DampedParams,
-               times: np.ndarray, gathered: int = 0) -> Iterator[np.ndarray]:
-    """rho(t) on the compact layout, one chunk of the grid at a time, one row
-    per time: each state has passed the trace-deficit gate and is
-    renormalized and Hermitized.  A chunk holds as many times as _CHUNK_BYTES
-    allows, counting per time the cutoff + 1 loss weights, three compact
-    states (the stack, its Hermitized copy and the consumer's padded copy)
-    and the entries that the consumer gathers from each state; the budget
-    bounds memory only, since every row is reduced alone (fock._ordered_sum).
-    The stack is freed before a chunk is handed on.  On a trace deficit the
-    states before it come out first."""
+def _propagate(terms: _SectorTerms, p: DampedParams, times: np.ndarray,
+               gathered: int = 0) -> Iterator[np.ndarray]:
+    """rho(t) on the compact layout of terms, one chunk of the grid at a
+    time, one row per time: each state has passed the trace-deficit gate and
+    is renormalized and Hermitized.  A chunk holds as many times as
+    _CHUNK_BYTES allows, counting per time the d = cutoff + 1 loss weights,
+    three compact states (the stack, its Hermitized copy and the consumer's
+    padded copy) and the gathered entries that the consumer takes from each
+    state; the budget bounds memory only, since every row is reduced alone
+    (fock._ordered_sum).  The stack is freed before a chunk is handed on.
+    On a trace deficit the states before it come out first."""
     layout = terms.layout
-    step = max(1, _CHUNK_BYTES // (16 * (3 * layout.partner.size + rho.cutoff + 1 + gathered)))
+    step = max(1, _CHUNK_BYTES // (16 * (3 * layout.partner.size + layout.d + gathered)))
     for begin in range(0, times.size, step):
-        stack = _sector_stack(terms, p, rho.cutoff, times[begin:begin + step])
+        stack = _sector_stack(terms, p, times[begin:begin + step])
         trace = _ordered_sum(stack[:, layout.diag].real)
         deficit = np.abs(trace - 1.0)
         bad = np.flatnonzero(deficit > TRACE_DEFICIT_LIMIT)
@@ -365,7 +370,7 @@ def _propagate(rho: TwoModeDensityMatrix, terms: _SectorTerms, p: DampedParams,
         if bad.size:
             error = TruncationError(
                 f"probability {deficit[bad[0]]:.3e} left the grid; raise the cutoff above "
-                f"{rho.cutoff}", tail_estimate=float(deficit[bad[0]]))
+                f"{layout.d - 1}", tail_estimate=float(deficit[bad[0]]))
             stack, trace = stack[:bad[0]], trace[:bad[0]]
         stack /= trace[:, None]
         states = stack[:, layout.partner]
@@ -382,6 +387,7 @@ def _propagate(rho: TwoModeDensityMatrix, terms: _SectorTerms, p: DampedParams,
 class DampedStates:
     """rho(t) over a 1-D array of times, built one chunk of the grid at a
     time as it is consumed, so memory does not grow with the number of times.
+    The call's _SectorTerms carry all of rho that the propagator reads.
 
     Iterating gives the states in order, each a validated
     TwoModeDensityMatrix holding a read-only copy of its chunk row on the
@@ -391,9 +397,8 @@ class DampedStates:
     (fock._measures): every state passes the same gates, and no dense state
     is built unless rho mixes photon sectors."""
 
-    def __init__(self, rho: TwoModeDensityMatrix, terms: _SectorTerms, p: DampedParams,
-                 times: np.ndarray):
-        self._rho, self._terms, self._p, self._times = rho, terms, p, times
+    def __init__(self, terms: _SectorTerms, p: DampedParams, times: np.ndarray):
+        self._terms, self._p, self._times = terms, p, times
         self._states = self._held_states()  # runs from the first next()
 
     def __iter__(self) -> "DampedStates":
@@ -404,7 +409,7 @@ class DampedStates:
 
     def _held_states(self) -> Iterator[TwoModeDensityMatrix]:
         layout = self._terms.layout
-        for chunk in _propagate(self._rho, self._terms, self._p, self._times):
+        for chunk in _propagate(self._terms, self._p, self._times):
             for row in chunk:
                 values = row.copy()
                 values.setflags(write=False)
@@ -413,7 +418,7 @@ class DampedStates:
     def measures(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """One (E_N, S, purity) triple of arrays per chunk of the grid, in order."""
         layout = self._terms.layout
-        for chunk in _propagate(self._rho, self._terms, self._p, self._times, layout.gathered):
+        for chunk in _propagate(self._terms, self._p, self._times, layout.gathered):
             yield _measures(chunk, layout)
 
 
@@ -439,7 +444,7 @@ def evolve_damped_exact(rho: TwoModeDensityMatrix, p: DampedParams, t: float | n
     occupied = np.zeros(layout.d ** 2)
     occupied[layout.rows] = occupied[layout.cols] = 1.0
     _require_capacity_support(occupied.reshape(layout.d, layout.d), rho.cutoff, "density matrix")
-    states = DampedStates(rho, _sector_terms(rho._occupied), p, flat)
+    states = DampedStates(_sector_terms(rho._occupied), p, flat)
     return next(states) if times.ndim == 0 else states
 
 
@@ -452,12 +457,17 @@ def _damped_diagonals(total: int, p: DampedParams, times: np.ndarray) -> np.ndar
     array, one row per time: sin^2 -> |sinh th|^2 / cosh 2x and cos^2 ->
     |cosh th|^2 / cosh 2x with th = x + iy, both written through tanh x so
     that no factor overflows at large gamma t.  The angles are math's, per
-    time; the first time that is not finite and >= 0 raises."""
+    time; the first time that is not finite and >= 0, or whose J t
+    overflows, raises.  Both weights are finite and lie in [0, 1]."""
     s2, c2 = [], []
     for t in times.tolist():
         if not (math.isfinite(t) and t >= 0.0):
             raise ValidationError(f"t must be finite and >= 0, got {t}")
         x, y = math.sqrt(2.0) * p.gamma * t, p.J * t
+        if not math.isfinite(x):  # sqrt(2) gamma alone may overflow, to nan at t = 0
+            x = math.sqrt(2.0) * (p.gamma * t)
+        if math.isinf(y):
+            raise NumericalError(f"J t = {p.J:g} * {t:g} overflows a float")
         th2 = math.tanh(x) ** 2
         s2.append((th2 + math.sin(y) ** 2 * (1.0 - th2)) / (1.0 + th2))
         c2.append((th2 + math.cos(y) ** 2 * (1.0 - th2)) / (1.0 + th2))

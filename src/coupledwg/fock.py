@@ -6,11 +6,12 @@ n_a + n_b <= cutoff so that photon-conserving (and photon-losing) dynamics stay
 exact on the grid.  All logarithms are base 2: entropies and logarithmic
 negativities are reported in bits.
 
-A TwoModeDensityMatrix holds its occupied entries, values on a _Layout: a
-dense argument's, or from_pure's k^2 products of k nonzero amplitudes, are
-row-major without zeros, and a state drawn from damped.py holds its row of
-its call's layout, zeros and all.  Neither of the last two builds its dense
-(d^2) x (d^2) form.
+A TwoModeDensityMatrix holds only its occupied entries, values on a
+_Layout: a dense argument's, found in one scan and then dropped, or
+from_pure's k^2 products of k nonzero amplitudes, are row-major without
+zeros, and a state drawn from damped.py holds its row of its call's layout,
+zeros and all.  Its dense (d^2) x (d^2) form is built only when entries is
+read.
 
 The gates and the measures are written once, for a stack of matrices that
 share one _Layout, the grid positions of their entries: a held state, and a
@@ -151,35 +152,29 @@ class _Occupied(NamedTuple):
 class TwoModeDensityMatrix:
     """Validated density matrix on the two-mode grid (Hermitian, unit trace, PSD).
 
-    It holds its occupied entries (see the module docstring).  A read-only
-    complex array that no writeable array shares becomes entries as it is;
-    any other array is copied, so the caller cannot change it.  from_pure and
-    the damped propagator hand over the occupied entries themselves: entries
-    is then built on first access, read-only, and kept.  States compare and
-    hash by identity, and repr reads only the occupied entries."""
+    It holds its occupied entries alone (see the module docstring): a dense
+    argument is scanned for them and not kept, so the caller's array can
+    change without changing the state.  entries is built from them on first
+    read, read-only, and kept.  States compare and hash by identity, and repr
+    reads only the occupied entries."""
 
     cutoff: int
     entries: np.ndarray
 
     def __post_init__(self):
         d = _grid_side(self.cutoff)
-        ent = self.entries
-        if isinstance(ent, _Occupied):
-            object.__delattr__(self, "entries")  # built by __getattr__ when read
-            occupied = ent
-        else:
-            if not (_sealed(ent) and ent.dtype == complex):
-                ent = np.array(ent, dtype=complex)
+        occupied = self.entries
+        if not isinstance(occupied, _Occupied):
+            ent = np.asarray(occupied, dtype=complex)
             if ent.shape != (d * d, d * d):
                 raise ValidationError(f"entries must have shape {(d*d, d*d)}, got {ent.shape}")
-            ent.setflags(write=False)
-            object.__setattr__(self, "entries", ent)
             occupied = _support(ent, d)
+        object.__delattr__(self, "entries")  # built by __getattr__ when read
         object.__setattr__(self, "_occupied", occupied)
         _checked(*_as_stack(self))
 
     def __getattr__(self, name):
-        # only a state handed its occupied entries lacks entries, until read
+        # entries is missing until its first read, which builds and keeps it
         if name != "entries":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         ent = _grid_matrices(*self._occupied)
@@ -194,16 +189,6 @@ class TwoModeDensityMatrix:
     @classmethod
     def from_pure(cls, state: TwoModePureState) -> "TwoModeDensityMatrix":
         return cls(state.cutoff, _pure_support(state.flat(), state.cutoff + 1))
-
-
-def _sealed(arr) -> bool:
-    """Whether arr is an array nothing can write to any more: it and every
-    array it views are read-only, down to one that owns its memory."""
-    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
-        if arr.base is None:
-            return True
-        arr = arr.base
-    return False
 
 
 def _checked_spectra(herm: np.ndarray, trace: np.ndarray, spectra) -> np.ndarray:

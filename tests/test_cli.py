@@ -23,7 +23,7 @@ from coupledwg.cli import (
     parse_state_spec,
 )
 from coupledwg.damped import DampedParams, purity_closed
-from coupledwg.errors import NumericalError
+from coupledwg.errors import CoupledwgError, NumericalError
 from coupledwg.gaussian import log_negativity_gaussian, thermal_evolved_covariance
 
 
@@ -301,6 +301,13 @@ def test_stdout_when_no_output_flag(capsys):
     assert lines[0] == "Jt,purity"
     assert len(lines) == 6
     assert lines[1].startswith("0,1")
+
+
+def test_write_csv_refuses_more_columns_than_names(capsys):
+    column = np.arange(3.0)
+    with pytest.raises(CoupledwgError, match="^header/column count mismatch$"):
+        cli.write_csv("-", ["t"], [column, column])
+    assert capsys.readouterr().out == ""
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -491,10 +491,10 @@ def test_batch_memory_does_not_grow_with_the_grid(monkeypatch):
     evolve_damped_exact(rho, p, 0.5)  # fill the caches first
     stack = damped._sector_stack
 
-    def one_chunk(terms, params, cutoff, times):
+    def one_chunk(terms, params, times):
         # refused before it is built: the whole grid would take gigabytes
         assert times.size < 1000
-        return stack(terms, params, cutoff, times)
+        return stack(terms, params, times)
     monkeypatch.setattr(damped, "_sector_stack", one_chunk)
     times = np.linspace(0.0, 50.0, 10 ** 6)
     for draw in (next, lambda states: next(states.measures())):
@@ -594,7 +594,7 @@ def test_measure_gates_fire_for_one_bad_state(monkeypatch):
         terms = evolve_damped_exact(rho, p, times)._terms
         layout = terms.layout
         assert (layout.blocks is None) == (state is mixed)
-        (chunk,) = damped._propagate(rho, terms, p, times, layout.gathered)
+        (chunk,) = damped._propagate(terms, p, times, layout.gathered)
         off = np.flatnonzero(layout.rows != layout.cols)[0]
 
         def herm(row):
@@ -794,6 +794,55 @@ def test_closed_forms_at_large_gamma_t():
     limit = cmath.exp(-4000.0 / (th + complex(200.0, 5.0))).real
     assert float(purity_closed(params, 5.0)) == pytest.approx(limit, abs=1e-12)
     assert float(purity_closed(params, 5.0)) == pytest.approx(0.0839, abs=1e-4)
+
+
+def test_closed_forms_refuse_an_overflowing_angle():
+    # J t = 1e310 overflows a float: math.sin(inf) raised a bare ValueError
+    p = DampedParams(0.0, 1e300, 0.1)
+    for closed in (damped_entropy, damped_pt_spectrum):
+        with pytest.raises(NumericalError, match=r"^J t = 1e\+300 \* 1e\+10 overflows a float$"):
+            closed(2, p, 1e10)
+    # a column raises the error of its first failing time
+    with pytest.raises(NumericalError, match="^J t = "):
+        _damped_entropies(2, p, np.array([1.0, 1e10, -1.0]))
+    with pytest.raises(ValidationError, match=r"^t must be finite and >= 0, got -1\.0$"):
+        _damped_entropies(2, p, np.array([1.0, -1.0, 1e10]))
+
+
+def test_closed_forms_take_an_overflowing_sqrt2_gamma():
+    # sqrt(2) gamma overflows to inf: at t = 0 the angle was nan, so the
+    # entropy was refused and the spectrum came out nan
+    p = DampedParams(0.0, 1.0, 1.7e308)
+    assert float(damped_entropy(2, p, 0.0)) == 0.0
+    assert np.array_equal(damped_pt_spectrum(2, p, 0.0), damped_pt_spectrum(2, P, 0.0))
+    assert float(damped_entropy(2, p, 1.0)) == 1.5  # Binomial(2, 1/2)
+
+
+def test_bogoliubov_overflow_is_typed():
+    # p.gamma ** 2 raised a bare OverflowError, and at gamma = 1e154 the sum
+    # 2 gamma^2 overflowed to inf and gave nu = 0 for about 1/sqrt(2)
+    for params, message in (
+            (DampedParams(0.0, 1.0, 1e154),
+             r"2 gamma\^2 \+ \(omega - J\)\^2 overflows a float at gamma = 1e\+154, "
+             r"omega - J = -1"),
+            (DampedParams(0.0, 1e300, 1e300),
+             r"2 gamma\^2 \+ \(omega - J\)\^2 overflows a float at gamma = 1e\+300, "
+             r"omega - J = -1e\+300"),
+            (DampedParams(1e200, 1e200, 0.0),
+             r"2 gamma\^2 \+ \(omega \+ J\)\^2 overflows a float at gamma = 0, "
+             r"omega \+ J = 2e\+200")):
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            bogoliubov_params(params)
+
+
+def test_ordered_form_refuses_what_it_cannot_divide_or_hold():
+    # eta_3 = 2 and eta_+ eta_- = 1 give phi = 0 and a zero denominator,
+    # which disentangle_params's weights never do (Im eta_3 = -2 J t); at
+    # J t = 1e310 its coefficients are not finite
+    with pytest.raises(NumericalError, match="^ordered-form denominator vanished$"):
+        damped._su11_factorization(1.0, 2.0, 1.0)
+    with pytest.raises(NumericalError, match="^ordered-form coefficients are not finite at phi = "):
+        disentangle_params(DampedParams(0.0, 1e300, 0.1), 1e10)
 
 
 def test_purity_boundary_cases():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from coupledwg.damped import DampedParams, evolve_damped_exact
-from coupledwg.errors import CapacityError, ValidationError
+from coupledwg.errors import CapacityError, NumericalError, ValidationError
 from coupledwg import fock
 from coupledwg.fock import (
     MeasureValue,
@@ -173,10 +173,58 @@ def test_density_matrix_entries_cannot_change_behind_its_back():
     rho = TwoModeDensityMatrix(1, view)
     m[0, 0] = 7.0
     assert rho.entries[0, 0] == 0.25
-    # a read-only array nothing else can write is kept as handed over
+    # a read-only array is not kept either: entries is rebuilt from the
+    # occupied entries, with the same values
     sealed = np.eye(4, dtype=complex) / 4
     sealed.setflags(write=False)
-    assert TwoModeDensityMatrix(1, sealed).entries is sealed
+    entries = TwoModeDensityMatrix(1, sealed).entries
+    assert entries is not sealed and np.array_equal(entries, sealed)
+
+
+def test_dense_argument_is_not_kept():
+    # a dense argument is scanned for its occupied entries and dropped; it
+    # was kept whole beside them, 14.1 MiB for NOON-2 at cutoff 30
+    psi = noon_state(2, 30).flat()
+    dense = np.outer(psi, psi.conj())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rho = TwoModeDensityMatrix(30, dense)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 2 ** 20
+    assert "entries" not in vars(rho)
+    assert np.array_equal(rho.entries, dense) and not rho.entries.flags.writeable
+
+
+def test_constructors_name_what_they_refuse():
+    refused = (
+        (lambda: TwoModePureState(1, np.ones(3)),
+         r"amplitudes must have shape \(2, 2\), got \(3,\)"),
+        (lambda: TwoModeDensityMatrix(1, np.eye(3)),
+         r"entries must have shape \(4, 4\), got \(3, 3\)"),
+        (lambda: make_pure_state("fock:1,0", 2), "make_pure_state expects a StateSpec"),
+        (lambda: make_pure_state(StateSpec("fock", (-1, 1)), 2),
+         "photon numbers must be non-negative"),
+        (lambda: noon_state(0, 2), "noon photon number must be >= 1"),
+        (lambda: state_from_amplitudes(np.zeros((2, 2)), 1), "cannot normalize the zero vector"),
+        (lambda: partial_transpose(np.ones((4, 2))),
+         r"matrix of shape \(4, 2\) is not a two-mode grid operator"),
+    )
+    for build, message in refused:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build()
+
+
+def test_dense_form_that_does_not_fit_is_a_numerical_error():
+    # one vacuum entry at cutoff 9999 validates; its dense form would take
+    # 1.6e17 bytes, which numpy refuses before allocating any
+    layout = fock._Layout(10 ** 4, np.zeros(1, dtype=int), np.zeros(1, dtype=int))
+    rho = TwoModeDensityMatrix(9999, fock._Occupied(np.ones(1, dtype=complex), layout))
+    with pytest.raises(NumericalError, match=r"^the cutoff-9999 density matrix "
+                       r"\(100000000\^2 complex entries\) does not fit in memory$"):
+        rho.entries
 
 
 def test_from_pure_holds_one_matrix():
@@ -583,6 +631,12 @@ def test_negative_eigenvalue_in_one_sector_is_rejected(solved_widths):
     with pytest.raises(ValidationError, match="eigenvalue"):
         TwoModeDensityMatrix(2, ent)
     assert max(solved_widths) <= 3
+
+
+def test_entropy_of_no_weights_is_zero():
+    # no weights, no terms: the sum is +0.0
+    value = entropy_bits([])
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_zero_entropies_are_positive_zero():

@@ -181,6 +181,16 @@ def test_discriminant_guard():
         symplectic_eigenvalues(bad)
 
 
+def test_invariant_guards_name_their_failure():
+    # a random symmetric matrix can have a negative discriminant, and the
+    # zero matrix collapses the partially transposed eigenvalue
+    a = np.random.default_rng(0).standard_normal((4, 4))
+    with pytest.raises(NumericalError, match=r"^symplectic discriminant -[0-9.e+]+ is negative$"):
+        symplectic_eigenvalues(a + a.T)
+    with pytest.raises(NumericalError, match="^partially transposed eigenvalue collapsed to zero$"):
+        log_negativity_gaussian(np.zeros((4, 4)))
+
+
 def test_validation_errors():
     with pytest.raises(ValidationError):
         vacuum_evolved_covariance(P, -1.0, 0.25, 0.25)
