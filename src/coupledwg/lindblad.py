@@ -11,12 +11,19 @@ arbitrate them, and it keeps only the sampled states.
 
 The generator does not depend on time, so an RK4 step of size h is one fixed
 linear map of rho: the stability polynomial 1 + z + z^2/2 + z^3/6 + z^4/24
-at z = hL (Hairer & Wanner, Solving ODEs II, IV.2).  On a grid of at most
-256 entries (cutoff 3) integrate tabulates it as a (d^4, d^4) matrix, built
-by stepping the basis matrices with _rk4_step, for each h that serves at
-least as many steps as rho has entries (the build costs about one step per
-basis matrix); each of that h's steps is then one matrix-vector product.
-Every other h and grid marches _rk4_step, the only RK4 formula.
+at z = hL (Hairer & Wanner, Solving ODEs II, IV.2).  Most entries of rho
+stay exactly 0 for a whole run, so integrate tabulates that map on the grid
+positions the step reaches from rho's support (_set_table), for each h that
+serves at least as many steps as the set has members, up to _TABLE_ENTRIES
+members; each of that h's steps is then one matrix-vector product on the
+set.  The set and every table entry come from running the dense _rk4_step
+on basis matrices, not from the physics, and every sample is scattered back
+to a dense matrix.  Every other h marches _rk4_step, the only RK4 formula.
+On one BLAS thread (numpy 2.4.6, scipy-openblas 0.3.31, 2-core x86 host,
+NOON-c inputs, J = 0.6, gamma = 0.02, h = 0.005) a step takes 2.6, 2.6,
+2.9, 3.8 and 9 us tabulated at cutoffs 1-4 and 6, on sets of 5, 14, 30, 55
+and 140 members, against 39, 49, 79, 166 and 615 us marched; a build costs
+about one marched step per member.
 """
 
 from __future__ import annotations
@@ -34,14 +41,19 @@ from .fock import TwoModeDensityMatrix, _as_entries, _measure_columns, _support
 
 SAMPLE_TRACE_TOL = 1e-9
 SAMPLE_EIG_FLOOR = -1e-9
-# a step of integrate on one BLAS thread of a 2-core x86 host takes 3.6, 6.0
-# and 21 us tabulated at cutoffs 1-3 (47, 51 and 70 us marched) and 130 us
-# marched at cutoff 4, so 10^6 steps take about 21 s at cutoff 3 and about
-# 2 minutes at cutoff 4; the workloads take a few thousand
+# a step of integrate takes 2.6-3.8 us tabulated at cutoffs 1-4 and 9 us at
+# cutoff 6 (NOON inputs), 166 us marched at cutoff 4 (module docstring), so
+# 10^6 steps take about 4 s tabulated on a set of up to 55 members and about
+# 3 minutes marched at cutoff 4; the workloads take a few thousand
 MAX_RK4_STEPS = 10 ** 6
-# the largest rho, in entries, whose RK4 step integrate tabulates: cutoff 3,
-# a table of 1 MiB
+# the most grid positions, closed under transposition, on which integrate
+# tabulates an RK4 step: a table of at most 1 MiB.  NOON-7 reaches 204 (14 us
+# a step, 1.1 ms marched); NOON-8 reaches 285 and marches
 _TABLE_ENTRIES = 256
+# the most entries in one stack of basis matrices that a table's build steps:
+# 64 KiB, so the build's temporaries stay small beside the process (peak
+# RSS), and no larger stack is faster per member at cutoffs 3-6
+_STACK_ENTRIES = 4096
 
 
 def default_dt(p: DampedParams) -> float:
@@ -102,19 +114,47 @@ def _rk4_step(rho_mat: np.ndarray, cutoff: int, p: DampedParams, h: float) -> np
     return rho_mat + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _step_table(cutoff: int, p: DampedParams, h: float) -> np.ndarray:
-    """The RK4 step at h as one (d^4, d^4) matrix P, vec(step(rho)) =
-    P @ rho.ravel(): column j is _rk4_step of the j-th basis matrix, stepped
-    one grid row of basis matrices at a time."""
-    n = (cutoff + 1) ** 2
-    images = np.empty((n * n, n * n), dtype=complex)
-    basis = np.zeros((n, n, n), dtype=complex)
-    cols = np.arange(n)
-    for row in range(n):
-        basis[cols, row, cols] = 1.0
-        images[row * n:(row + 1) * n] = _rk4_step(basis, cutoff, p, h).reshape(n, n * n)
-        basis[cols, row, cols] = 0.0
-    return images.T
+def _set_table(rho: np.ndarray, cutoff: int, p: DampedParams, h: float, limit: int):
+    """The RK4 step at h on the grid positions it reaches from rho's support,
+    as (reached, partner, table), or None when more than limit positions are
+    reached or an image is not finite.
+
+    reached is a boolean (d^2, d^2) mask, closed under transposition; its
+    members are read in row-major order, and partner[k] is the member at
+    member k's transposed position.  Column k of table is _rk4_step of member
+    k's basis matrix, read on the members.  The set grows from rho's support:
+    each new member's basis matrix is stepped once, in stacks of at most
+    _STACK_ENTRIES entries, and every position an image makes nonzero, and
+    its transpose, joins the set, until nothing new appears.  The growth
+    stops before the first stack that would start from more than limit
+    positions, so a refused set costs at most about limit steps."""
+    n = rho.shape[0]
+    reached = (rho != 0) | (rho != 0).T
+    new = np.flatnonzero(reached)
+    chunk = max(1, _STACK_ENTRIES // rho.size)
+    pieces = []
+    while new.size:
+        stepped = reached.copy()
+        for part in np.split(new, range(chunk, new.size, chunk)):
+            if np.count_nonzero(reached) > limit:
+                return None
+            basis = np.zeros((part.size, rho.size), dtype=complex)
+            basis[np.arange(part.size), part] = 1.0
+            images = _rk4_step(basis.reshape(-1, n, n), cutoff, p, h).reshape(part.size, -1)
+            if not np.isfinite(images).all():
+                return None
+            cols = np.flatnonzero(images.any(axis=0))
+            pieces.append((part, cols, images[:, cols]))
+            rows, columns = np.divmod(cols, n)
+            reached[rows, columns] = reached[columns, rows] = True
+        new = np.flatnonzero(reached & ~stepped)
+    members = np.flatnonzero(reached)
+    index = np.zeros(rho.size, dtype=np.intp)
+    index[members] = np.arange(members.size)
+    table = np.zeros((members.size, members.size), dtype=complex)
+    for part, cols, values in pieces:
+        table[index[cols][:, None], index[part]] = values.T
+    return reached, index[members % n * n + members // n], table
 
 
 @dataclass(frozen=True)
@@ -143,9 +183,13 @@ def integrate(rho0: TwoModeDensityMatrix, p: DampedParams, config: IntegratorCon
     substeps.  The state is re-Hermitized after every step (roundoff hygiene)
     but the trace is never rescaled, so trace drift is a genuine error signal:
     every sample is checked for |trace - 1| <= 1e-9 and eigenvalues >= -1e-9.
-    Up to cutoff 3, an h that serves at least d^4 steps of the call steps
-    through its table (module docstring), built on its first interval and
-    dropped after its last; no table outlives the call.
+    An h that serves at least as many steps of the call as rho's reached set
+    has members steps through its set table (module docstring): 2.6-3.8 us a
+    step at cutoffs 1-4 and 9 us at cutoff 6, against 39-166 and 615 us
+    marched.  The table is built on the h's first interval and dropped after
+    its last, and no table outlives the call.  An interval whose rho has
+    support outside its h's set marches.  diagnostics counts rk4_steps, the
+    tabulated_steps among them and the table_members of the largest table.
     """
     if sample_times is None:
         times = np.linspace(0.0, config.t_max, 21)
@@ -172,26 +216,36 @@ def integrate(rho0: TwoModeDensityMatrix, p: DampedParams, config: IntegratorCon
             t_now = float(target)
         plan.append((nsteps, h))
     rho = rho0.entries
-    n = rho.shape[0]
     tables = {}
     samples = []
     worst_drift = 0.0
     worst_eig = np.inf
-    steps_taken = 0
+    steps_taken = tabulated = largest = 0
     for i, (target, (nsteps, h)) in enumerate(zip(times, plan)):
         # a step far above the stable one overflows to a non-finite state,
         # which the trace gate below refuses
         with np.errstate(over="ignore", invalid="ignore"):
-            if n * n <= _TABLE_ENTRIES and served.get(h, 0) >= n * n:
+            held = None
+            if nsteps:
                 if h not in tables:
-                    tables[h] = _step_table(rho0.cutoff, p, h)
-                table = tables[h] if last_use[h] > i else tables.pop(h)
-                step = lambda rho: (table @ rho.ravel()).reshape(n, n)
+                    tables[h] = _set_table(rho, rho0.cutoff, p, h,
+                                           min(_TABLE_ENTRIES, served[h]))
+                    if tables[h] is not None:
+                        largest = max(largest, tables[h][2].shape[0])
+                held = tables[h] if last_use[h] > i else tables.pop(h)
+            if held is not None and not rho[~held[0]].any():
+                reached, partner, table = held
+                v = rho[reached]
+                for _ in range(nsteps):
+                    v = table @ v
+                    v = 0.5 * (v + v[partner].conj())
+                rho = np.zeros(rho.shape, dtype=complex)
+                rho[reached] = v
+                tabulated += nsteps
             else:
-                step = lambda rho: _rk4_step(rho, rho0.cutoff, p, h)
-            for _ in range(nsteps):
-                rho = step(rho)
-                rho = 0.5 * (rho + rho.conj().T)
+                for _ in range(nsteps):
+                    rho = _rk4_step(rho, rho0.cutoff, p, h)
+                    rho = 0.5 * (rho + rho.conj().T)
         steps_taken += nsteps
         drift = abs(float(np.trace(rho).real) - 1.0)
         worst_drift = max(worst_drift, drift)
@@ -209,7 +263,9 @@ def integrate(rho0: TwoModeDensityMatrix, p: DampedParams, config: IntegratorCon
     return Trajectory(times=times.copy(), states=tuple(samples),
                       diagnostics={"max_trace_drift": worst_drift,
                                    "min_eigenvalue": worst_eig,
-                                   "rk4_steps": steps_taken})
+                                   "rk4_steps": steps_taken,
+                                   "tabulated_steps": tabulated,
+                                   "table_members": largest})
 
 
 def trace_distance(rho, sigma) -> float:

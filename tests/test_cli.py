@@ -138,6 +138,38 @@ def test_compare_pins_a_documented_oracle_failure(table_entries, monkeypatch, tm
                                        "reduce dt or raise the cutoff\n")
 
 
+@pytest.mark.parametrize("table_entries", [lindblad._TABLE_ENTRIES, 0])
+def test_compare_pins_a_documented_cutoff_4_oracle_failure(table_entries, monkeypatch, tmp_path,
+                                                           capsys):
+    # the same pin on a cutoff-4 grid, whose reached set of 55 positions is
+    # tabulated: catches a set table that drifts from the march
+    monkeypatch.setattr(lindblad, "_TABLE_ENTRIES", table_entries)
+    code = main(["compare", "--input", "noon:4", "--J", "0.9375", "--gamma", "0.0433333",
+                 "--tmax", "10", "--steps", "20", "-o", str(tmp_path / "x.csv")])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == ("numerical failure: eigenvalue -5.618e-09 at t=0.5; "
+                                       "reduce dt or raise the cutoff\n")
+
+
+def test_compare_tabulates_a_grid_of_five_step_sizes(monkeypatch, tmp_path):
+    # a linspace grid's spans differ in their last bits: this one steps 602
+    # times at five distinct h (172, 86, 172, 86 and 86 steps), each of which
+    # serves more steps than the 14 positions that |1,1> reaches
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(lindblad.integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "integrate", recorded)
+    assert main(["compare", "--input", "fock:1,1", "--cutoff", "3", "--tmax", "3",
+                 "--steps", "7", "-o", str(tmp_path / "x.csv")]) == EXIT_OK
+    (trajectory,) = runs
+    assert trajectory.diagnostics["rk4_steps"] == 602
+    assert trajectory.diagnostics["tabulated_steps"] == 602
+    assert trajectory.diagnostics["table_members"] == 14
+
+
 def test_compare_dump_states(tmp_path):
     dump = tmp_path / "states.csv"
     code = main(["compare", "--input", "fock:1,1", "--gamma", "0.01",

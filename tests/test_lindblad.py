@@ -7,7 +7,7 @@ from coupledwg import lindblad
 from coupledwg.damped import DampedParams, evolve_damped_exact
 from coupledwg.errors import IntegrationError, ValidationError
 from coupledwg.fock import TwoModeDensityMatrix, fock_state, log_negativity, noon_state, purity, \
-    reduced_state, von_neumann_entropy
+    reduced_state, state_from_amplitudes, von_neumann_entropy
 from coupledwg.lindblad import (
     DeviationReport,
     IntegratorConfig,
@@ -101,8 +101,8 @@ def test_trajectory_matches_reference_apply(monkeypatch):
 # compare's grid (t_max 10, 20 samples, half the default dt: one h, up to 13
 # in its last bits) and an irregular one whose step sizes 2^-8 (in the first
 # and third intervals), 0.2998046875/77 and 0.7001953125/180 serve 512, 77
-# and 180 steps: cutoff 3 tabulates the first alone, cutoff 2 the first and
-# the last, cutoff 1 all three
+# and 180 steps: each tabulates where rho's reached set has at most that
+# many members (Fock and NOON inputs reach 5 to 55 positions up to cutoff 4)
 STEP_GRIDS = ((0.005, np.linspace(0.0, 10.0, 21)),
               (2.0 ** -8, [0.0, 1.0, 1.2998046875, 2.2998046875, 3.0]))
 
@@ -131,10 +131,12 @@ def test_tabulated_step_matches_marching(monkeypatch):
 
 
 def test_step_path_follows_the_grid_size(monkeypatch):
-    # a table costs 4 applies per grid row of basis matrices, whatever the
-    # step count; catches a table for an h that serves fewer steps than rho
-    # has entries, a table above cutoff 3, and a table rebuilt for an h that
-    # comes back after another interval
+    # the reached set of |1,0> holds the vacuum and the one-photon block, 5
+    # positions at every cutoff: a table costs 4 applies per round of its
+    # closure (a stack of 1, then of 4), whatever the step count.  Catches a
+    # table for an h that serves fewer steps than its set has members, a set
+    # over _TABLE_ENTRIES, a bound on the grid in place of the set, and a
+    # table rebuilt for an h that comes back after another interval
     shapes = []
     apply = lindblad.liouvillian_apply
 
@@ -151,17 +153,117 @@ def test_step_path_follows_the_grid_size(monkeypatch):
                   IntegratorConfig(dt=dt, t_max=float(times[-1])), sample_times=times)
         return len(shapes)
 
-    for cutoff in (1, 2, 3):
+    for cutoff in (1, 2, 3, 4):
         n = (cutoff + 1) ** 2
         for t_max in (1.0, 3.0):  # 256 and 768 steps
-            assert applies(cutoff, [t_max]) == 4 * n
-            assert set(shapes) == {(n, n, n)}
-    assert applies(3, [255.0 / 256.0]) == 4 * 255
-    assert set(shapes) == {(16, 16)}
-    assert applies(3, STEP_GRIDS[1][1]) == 4 * 16 + 4 * (77 + 180)
-    assert applies(2, STEP_GRIDS[1][1]) == 2 * 4 * 9 + 4 * 77
-    assert applies(1, STEP_GRIDS[1][1]) == 3 * 4 * 4
-    assert applies(4, [0.0, 700 * 0.01], dt=0.01) == 4 * 700
+            assert applies(cutoff, [t_max]) == 2 * 4
+            assert set(shapes) == {(1, n, n), (4, n, n)}
+    assert applies(3, [5.0 / 256.0]) == 2 * 4
+    # 4 steps: the closure stops when its set outgrows them, then marches
+    assert applies(3, [4.0 / 256.0]) == 4 + 4 * 4
+    assert set(shapes) == {(1, 16, 16), (16, 16)}
+    with monkeypatch.context() as patch:
+        patch.setattr(lindblad, "_TABLE_ENTRIES", 4)
+        assert applies(3, [1.0]) == 4 + 4 * 256
+    # one closure for 2^-8 (used again in the third interval), then a round
+    # of the 5 members for each of the other two h
+    assert applies(3, STEP_GRIDS[1][1]) == 2 * 4 + 4 + 4
+    assert set(shapes) == {(1, 16, 16), (4, 16, 16), (5, 16, 16)}
+
+
+def _mixed(cutoff):
+    return state_from_amplitudes({(0, 0): 1.0, (1, 1): 1.0}, cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4, 5])
+def test_march_keeps_every_entry_outside_the_reached_set_zero(cutoff, monkeypatch):
+    # the table holds only the positions that the dense step reaches from
+    # rho's support; the march must leave every other entry exactly 0
+    h = 0.002
+    for state in (fock_state(1, cutoff - 1, cutoff), noon_state(cutoff, cutoff), _mixed(cutoff)):
+        rho = dm(state)
+        for gamma in (0.0, 0.04):
+            p = DampedParams(0.3, 0.5, gamma)
+            reached, _, _ = lindblad._set_table(rho.entries, cutoff, p, h, rho.entries.size)
+            assert np.count_nonzero(reached) < reached.size
+            with monkeypatch.context() as patch:
+                patch.setattr(lindblad, "_TABLE_ENTRIES", 0)
+                marched = integrate(rho, p, IntegratorConfig(dt=h, t_max=0.6),
+                                    sample_times=np.arange(1, 16) * 0.04)
+            assert marched.diagnostics["rk4_steps"] == 300
+            for state_t in marched.states:
+                assert not state_t[~reached].any(), (cutoff, gamma)
+
+
+def test_tabulated_step_matches_marching_at_cutoffs_4_and_5(monkeypatch):
+    # the gates of test_tabulated_step_matches_marching where the grid has
+    # more than _TABLE_ENTRIES entries.  On the irregular grid, cutoff 5's
+    # lossy sets of 91 members march the h that serves 77 steps between two
+    # tabulated intervals; compare's grid runs at cutoff 4 alone, for time
+    for cutoff, grids in ((4, STEP_GRIDS), (5, STEP_GRIDS[1:])):
+        for state in (fock_state(1, cutoff - 1, cutoff), noon_state(cutoff, cutoff)):
+            for gamma in (0.0, 0.04):
+                p = DampedParams(0.3, 0.25, gamma)
+                for dt, times in grids:
+                    cfg = IntegratorConfig(dt=dt, t_max=float(times[-1]))
+                    tabulated = integrate(dm(state), p, cfg, sample_times=times)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(lindblad, "_TABLE_ENTRIES", 0)
+                        marched = integrate(dm(state), p, cfg, sample_times=times)
+                    for ours, ref in zip(tabulated.states, marched.states):
+                        assert np.array_equal(ours, ours.conj().T), (cutoff, gamma, dt)
+                        assert np.abs(ours - ref).max() <= 1e-12, (cutoff, gamma, dt)
+                    assert abs(tabulated.diagnostics["min_eigenvalue"]
+                               - marched.diagnostics["min_eigenvalue"]) <= 1e-13
+                    steps = tabulated.diagnostics["rk4_steps"]
+                    assert steps == marched.diagnostics["rk4_steps"]
+                    assert tabulated.diagnostics["tabulated_steps"] == (
+                        steps - 77 if (cutoff, gamma, dt) == (5, 0.04, 2.0 ** -8) else steps)
+                    assert marched.diagnostics["tabulated_steps"] == 0
+
+
+def test_diagnostics_count_the_steps_of_each_path(monkeypatch):
+    p = DampedParams(0.3, 0.8, 0.04)
+    cfg = IntegratorConfig(dt=2.0 ** -8, t_max=3.0)
+    times = STEP_GRIDS[1][1]
+    for cutoff, state, members in ((2, fock_state(1, 1, 2), 14), (3, noon_state(3, 3), 30),
+                                   (4, _mixed(4), 20)):
+        diagnostics = integrate(dm(state), p, cfg, sample_times=times).diagnostics
+        assert diagnostics["rk4_steps"] == diagnostics["tabulated_steps"] == 769
+        assert diagnostics["table_members"] == members
+        with monkeypatch.context() as patch:
+            patch.setattr(lindblad, "_TABLE_ENTRIES", members - 1)
+            diagnostics = integrate(dm(state), p, cfg, sample_times=times).diagnostics
+        assert diagnostics["rk4_steps"] == 769
+        assert diagnostics["tabulated_steps"] == diagnostics["table_members"] == 0
+
+
+def test_a_table_that_cannot_hold_rho_marches(monkeypatch):
+    # a held set that misses part of rho's support (here every set is the
+    # vacuum's) must not step it, and a build with a non-finite image must
+    # give no table: both runs march, as with no tables at all.  The one h
+    # serves 200 steps, more than the grid's 81 entries
+    rho = dm(noon_state(2, 2))
+    p = DampedParams(0.3, 0.5, 0.04)
+    cfg = IntegratorConfig(dt=0.005, t_max=1.0)
+    times = [0.5, 1.0]
+    with monkeypatch.context() as patch:
+        patch.setattr(lindblad, "_TABLE_ENTRIES", 0)
+        marched = integrate(rho, p, cfg, sample_times=times)
+    vacuum = dm(fock_state(0, 0, 2)).entries
+    build, step = lindblad._set_table, lindblad._rk4_step
+    with monkeypatch.context() as patch:
+        patch.setattr(lindblad, "_set_table",
+                      lambda rho_mat, cutoff, p, h, limit: build(vacuum, cutoff, p, h, limit))
+        wrong_set = integrate(rho, p, cfg, sample_times=times)
+    with monkeypatch.context() as patch:
+        patch.setattr(lindblad, "_rk4_step", lambda rho_mat, *args: (
+            step(rho_mat, *args) if rho_mat.ndim == 2 else np.full_like(rho_mat, np.inf)))
+        overflowed = integrate(rho, p, cfg, sample_times=times)
+    for run in (wrong_set, overflowed):
+        assert run.diagnostics["tabulated_steps"] == 0
+        for ours, ref in zip(run.states, marched.states):
+            assert np.array_equal(ours, ref)
 
 
 def test_apply_of_a_stack_is_each_matrix_apply():
